@@ -37,7 +37,7 @@
 // state. A uniform profile reproduces the constant model exactly.
 //
 // The simulator core (internal/simmpi) is a deterministic discrete-
-// event engine: an indexed min-heap commits operations in global
+// event engine: a min-heap commits operations in global
 // (virtual time, rank) order at O(log ranks) per event with an
 // allocation-free hot path, so the scale-ranks experiment and the
 // BenchmarkSimMPI* family can replay the Mont-Blanc follow-on regimes

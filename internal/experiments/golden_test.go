@@ -10,9 +10,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
 
-// The Figure 3/4 quick outputs are pinned byte-for-byte to the seed
-// linear-scan scheduler's output: the event-heap rewrite must not move
-// a single digit of the paper's scalability results. The Figure 5/6
+// The Figure 3/4 quick outputs are pinned byte-for-byte to the output
+// of the seed scheduler, which picked each commit by a linear scan: no
+// scheduler change, at any shard count, may move a single digit of the
+// paper's scalability results. The Figure 5/6
 // quick outputs are pinned the same way against the pre-batching
 // element-at-a-time cache simulator: the batched engine must not move
 // a digit of the §V.A results either. Golden files are intentionally

@@ -1,18 +1,11 @@
 package simmpi
 
-// opHeap is an indexed binary min-heap of executable operations ordered
-// by (ready, rank). This is exactly the total order the seed
-// scheduler's per-commit linear scan walked (strictly-smaller ready
-// wins; ties go to the lowest rank), so replacing the scan with
-// push/pop changes commit cost from O(Ranks) to O(log Ranks) without
-// perturbing a single commit decision — the determinism contract of
-// the package rests on this equivalence, which the property suite in
-// equivalence_test.go checks against the retained linear-scan
-// reference picker.
-//
-// Each op carries its heap position in heapIdx (-1 when outside the
-// heap); the index is maintained on every swap so membership checks and
-// future decrease-key-style operations stay O(1).
+// opHeap is a binary min-heap of executable operations ordered by
+// (ready, rank): strictly-smaller ready wins and ties go to the lowest
+// rank, the total order an O(Ranks) scan of the pending table would
+// pick, at O(log Ranks) per commit. The determinism contract of the
+// package rests on that equivalence; equivalence_test.go checks every
+// commit of one-shard runs against such a scan.
 type opHeap struct {
 	a []*op
 }
@@ -25,14 +18,12 @@ func opLess(x, y *op) bool {
 // push inserts an executable op.
 func (h *opHeap) push(o *op) {
 	h.a = append(h.a, o)
-	o.heapIdx = len(h.a) - 1
-	h.up(o.heapIdx)
+	h.up(len(h.a) - 1)
 }
 
 // peek returns the op with the smallest (ready, rank) without removing
-// it, or nil when the heap is empty. The parallel scheduler's window
-// loop peeks to decide whether the minimum is committable before the
-// window edge.
+// it, or nil when the heap is empty. The commit loop peeks to decide
+// whether the minimum commits before the window edge.
 func (h *opHeap) peek() *op {
 	if len(h.a) == 0 {
 		return nil
@@ -52,10 +43,8 @@ func (h *opHeap) pop() *op {
 	h.a[last] = nil // drop the stale reference so ops don't leak
 	h.a = h.a[:last]
 	if last > 0 {
-		h.a[0].heapIdx = 0
 		h.down(0)
 	}
-	top.heapIdx = -1
 	return top
 }
 
@@ -91,6 +80,4 @@ func (h *opHeap) down(i int) {
 
 func (h *opHeap) swap(i, j int) {
 	h.a[i], h.a[j] = h.a[j], h.a[i]
-	h.a[i].heapIdx = i
-	h.a[j].heapIdx = j
 }

@@ -119,11 +119,10 @@ func (mb *mailbox) match(src, tag int) (msg, bool) {
 	return m, true
 }
 
-// xsend is one committed cross-node send awaiting delivery at a window
-// barrier of the parallel scheduler. The fields are copied out of the
-// sender's reusable op struct at commit time: the sender resumes
-// immediately and may overwrite its postBuf long before the barrier
-// runs.
+// xsend is one committed send's delivery, copied out of the sender's
+// reusable op struct at commit time: the sender resumes immediately
+// and may overwrite its postBuf before a cross-node send deferred to a
+// window barrier is delivered.
 type xsend struct {
 	time  float64 // commit (= ready = post) time; becomes Comm.Sent
 	rank  int     // sender

@@ -1,13 +1,13 @@
-// Conservative parallel scheduler: ranks are sharded across worker
-// goroutines on node boundaries, and events commit in bounded time
+// Windowed commit: with N > 1 shards, each shard runs the commit loop
+// (runWindow) on its own goroutine, and events commit in bounded time
 // windows whose width is the network's lookahead — the minimum one-way
 // latency between distinct nodes. Within a window every shard commits
 // its own events independently in (ready, rank) order; all cross-node
 // sends are deferred to the window barrier, where a single sweep
 // replays them against the network in the merged global (ready, rank)
-// order. The result is byte-identical to the sequential reference
-// scheduler at any worker count; SIMMPI.md walks the exactness
-// argument in full. The short version:
+// order. The result is byte-identical to the one-shard run at any shard
+// count; SIMMPI.md walks the exactness argument in full. The short
+// version:
 //
 //   - Mailbox matching is keyed by exact (src, tag) per destination and
 //     both sides follow per-rank program order, so recv/message pairing
@@ -28,283 +28,88 @@
 package simmpi
 
 import (
-	"fmt"
 	"math"
 
-	"montblanc/internal/network"
 	"montblanc/internal/trace"
 )
 
-// pshard is one scheduler shard: a contiguous block of whole nodes with
-// its own declaration channel, indexed min-heap and cross-send outbox.
-// All fields are owned by the shard goroutine during a window and read
-// by the coordinator only between phaseDone and the next cmd send.
-type pshard struct {
-	id       int
-	opCh     chan *op
-	heap     opHeap
-	live     int // ranks not yet exited
-	nPending int // ranks with a declared, uncommitted op
-	out      outbox
-	comms    []trace.Comm // intra-node comms in shard commit order
-	events   uint64
-	locals   uint64 // intra-node sends committed shard-locally
-
-	cmd chan float64 // next window edge; closed to stop the shard
-
-	// First intra-node delivery failure in shard order; the coordinator
-	// resolves the globally-first error across shards and the barrier.
-	err     error
-	errTime float64
-	errRank int
-}
-
-// pworld is the parallel scheduler's state: the shared world plus the
-// shard set and the coordinator's bookkeeping.
-type pworld struct {
-	*world
-	shards     []*pshard
-	shardOf    []int // rank -> shard id
-	phaseDone  chan struct{}
-	endTimes   []float64
-	rankErrs   []error
-	crossSends uint64
-}
-
-// runParallel executes body under the conservative windowed scheduler
-// with the given shard count (>= 2, already bounded by the node count).
-func runParallel(cfg Config, body func(*Proc) error, workers int) (*Report, error) {
-	start := nowMonotonic()
-	la := cfg.Net.Lookahead()
-	pw := &pworld{
-		world:     newWorld(cfg, hooks{}),
-		shardOf:   make([]int, cfg.Ranks),
-		phaseDone: make(chan struct{}, workers),
-		endTimes:  make([]float64, cfg.Ranks),
-		rankErrs:  make([]error, cfg.Ranks),
+// runWindows drives a windowed run to completion and returns the
+// number of windows it barriered.
+func (w *world) runWindows() (uint64, error) {
+	w.phaseDone = make(chan struct{}, len(w.shards))
+	for _, s := range w.shards {
+		s.cmd = make(chan float64)
+		go w.shardLoop(s)
 	}
-	// Shards own contiguous node blocks: intra-node traffic (loopback
-	// links, same-node mailboxes) then never crosses a shard boundary.
-	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	base, rem := nodes/workers, nodes%workers
-	node0 := 0
-	for i := 0; i < workers; i++ {
-		nn := base
-		if i < rem {
-			nn++
+	defer func() {
+		for _, s := range w.shards {
+			close(s.cmd)
 		}
-		lo := node0 * cfg.RanksPerNode
-		hi := (node0 + nn) * cfg.RanksPerNode
-		if hi > cfg.Ranks {
-			hi = cfg.Ranks
-		}
-		s := &pshard{id: i, opCh: make(chan *op), cmd: make(chan float64), live: hi - lo}
-		s.heap.a = make([]*op, 0, hi-lo)
-		for r := lo; r < hi; r++ {
-			pw.shardOf[r] = i
-		}
-		pw.shards = append(pw.shards, s)
-		node0 += nn
-	}
-	procs := pw.spawnProcs(body, func(rank int) chan *op { return pw.shards[pw.shardOf[rank]].opCh })
-	for _, s := range pw.shards {
-		go pw.shardLoop(s)
-	}
-
-	stats := SchedStats{Workers: workers, Lookahead: la}
-	var netErr, deadlock error
+	}()
+	la := w.cfg.Net.Lookahead()
+	windows := uint64(0)
 	edge := math.Inf(-1) // first phase only collects declarations
 	for {
-		for _, s := range pw.shards {
+		for _, s := range w.shards {
 			s.cmd <- edge
 		}
-		for range pw.shards {
-			<-pw.phaseDone
+		for range w.shards {
+			<-w.phaseDone
 		}
-		if netErr = pw.barrier(); netErr != nil {
-			break
+		if err := w.barrier(); err != nil {
+			return windows, err
 		}
 		live := 0
-		for _, s := range pw.shards {
+		for _, s := range w.shards {
 			live += s.live
 		}
 		if live == 0 {
-			break
+			return windows, nil
 		}
 		// The next window opens at the global minimum ready time (the
 		// barrier may have matched recvs into the heaps) and spans one
 		// lookahead.
 		minNext := math.Inf(1)
-		for _, s := range pw.shards {
+		for _, s := range w.shards {
 			if m := s.heap.peek(); m != nil && m.ready < minNext {
 				minNext = m.ready
 			}
 		}
 		if math.IsInf(minNext, 1) {
-			deadlock = pw.deadlockError()
-			break
+			return windows, w.deadlockError()
 		}
 		edge = minNext + la
-		stats.Windows++
+		windows++
 	}
-	for _, s := range pw.shards {
-		close(s.cmd)
-	}
-	if netErr != nil {
-		return nil, netErr
-	}
-	if deadlock != nil {
-		return nil, deadlock
-	}
-	for r, err := range pw.rankErrs {
-		if err != nil {
-			return nil, fmt.Errorf("simmpi: rank %d: %w", r, err)
-		}
-	}
-
-	for _, s := range pw.shards {
-		stats.Events += s.events
-		stats.LocalSends += s.locals
-	}
-	stats.CrossSends = pw.crossSends
-	stats.Wall = nowMonotonic() - start
-	rep := &Report{RankSeconds: pw.endTimes, Drops: cfg.Net.Drops(), Sched: stats,
-		Faults: faultTotals(procs)}
-	for _, t := range pw.endTimes {
-		if t > rep.Seconds {
-			rep.Seconds = t
-		}
-	}
-	if cfg.CollectTrace {
-		rep.Trace = mergeTrace(cfg, procs, pw.mergedComms())
-	}
-	recordEngineRun(stats)
-	return rep, nil
 }
 
 // shardLoop runs one shard: a window per cmd value until the channel
 // closes.
-func (pw *pworld) shardLoop(s *pshard) {
+func (w *world) shardLoop(s *shard) {
 	for edge := range s.cmd {
-		pw.runWindow(s, edge)
-		pw.phaseDone <- struct{}{}
+		w.runWindow(s, edge)
+		w.phaseDone <- struct{}{}
 	}
-}
-
-// runWindow collects declarations and commits this shard's events with
-// ready < edge, in the shard's (ready, rank) order — exactly the global
-// commit order restricted to the shard's ranks.
-func (pw *pworld) runWindow(s *pshard, edge float64) {
-	s.out.reset()
-	for s.err == nil {
-		// Collect until every live rank of the shard has declared — an
-		// undeclared rank is running and will post; parked recvs count
-		// as declared.
-		for s.nPending < s.live {
-			o := <-s.opCh
-			pw.pending[o.rank] = o
-			s.nPending++
-			switch o.kind {
-			case opSend, opExit:
-				o.ready = o.time
-				s.heap.push(o)
-			case opRecv:
-				o.ready = math.Inf(1)
-				pw.matchShard(s, o)
-			}
-		}
-		best := s.heap.peek()
-		if best == nil || best.ready >= edge {
-			return
-		}
-		s.heap.pop()
-		pw.pending[best.rank] = nil
-		s.nPending--
-		s.events++
-		switch best.kind {
-		case opSend:
-			pw.commitSend(s, best)
-		case opRecv:
-			copyCost := float64(best.matchedMsg.bytes) / pw.cfg.CopyBandwidth
-			pw.resume[best.rank] <- resumeMsg{
-				time:    best.ready + copyCost,
-				dropped: best.matchedMsg.dropped,
-			}
-		case opExit:
-			s.live--
-			pw.endTimes[best.rank] = best.time
-			pw.rankErrs[best.rank] = best.err
-		}
-	}
-}
-
-// commitSend commits one send. Intra-node sends deliver immediately on
-// the shard-private loopback link; cross-node sends are copied into the
-// outbox for the barrier sweep. Either way the sender resumes now: its
-// resume time does not depend on the delivery outcome.
-func (pw *pworld) commitSend(s *pshard, o *op) {
-	cfg := &pw.cfg
-	// Grouped exactly as the sequential path computes it: float addition
-	// is not associative and the outputs must match to the last bit.
-	overhead := cfg.SendOverhead + float64(o.bytes)/cfg.CopyBandwidth
-	resumeAt := o.time + overhead
-	if pw.node(o.rank) != pw.node(o.dst) {
-		s.out.push(xsend{time: o.time, rank: o.rank, dst: o.dst, tag: o.tag, bytes: o.bytes})
-		pw.resume[o.rank] <- resumeMsg{time: resumeAt}
-		return
-	}
-	s.locals++
-	res, err := pw.deliver(o)
-	if err != nil {
-		s.err, s.errTime, s.errRank = err, o.time, o.rank
-		return
-	}
-	m := msg{arrival: res.Arrival, dropped: res.Dropped, bytes: o.bytes}
-	pw.mail[o.dst].push(o.rank, o.tag, m)
-	if cfg.CollectTrace {
-		s.comms = append(s.comms, trace.Comm{
-			Src: o.rank, Dst: o.dst, Tag: o.tag, Bytes: o.bytes,
-			Sent: o.time, Arrived: res.Arrival, Dropped: res.Dropped,
-		})
-	}
-	if ro := pw.pending[o.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
-		pw.matchShard(s, ro)
-	}
-	pw.resume[o.rank] <- resumeMsg{time: resumeAt}
-}
-
-// matchShard completes a pending recv against the mailbox if possible,
-// pushing it onto the shard's heap.
-func (pw *pworld) matchShard(s *pshard, o *op) {
-	m, ok := pw.mail[o.rank].match(o.src, o.tag)
-	if !ok {
-		return
-	}
-	o.matched = true
-	o.matchedMsg = m
-	o.ready = math.Max(o.time, m.arrival)
-	s.heap.push(o)
 }
 
 // barrier runs between windows with every shard parked: it drains the
-// shards' outboxes merged by (time, rank) — reproducing the sequential
-// scheduler's link reservation order exactly — delivers into the
-// mailboxes and matches parked recvs into their shards' heaps. It
-// returns the globally-first error, honouring shard-local failures that
-// interleave with barrier deliveries in commit order.
-func (pw *pworld) barrier() error {
+// shards' outboxes merged by (time, rank) — reproducing the one-shard
+// link reservation order exactly — delivering into the mailboxes and
+// matching parked recvs into their shards' heaps. It returns the
+// globally-first error, honouring shard-local failures that interleave
+// with barrier deliveries in commit order.
+func (w *world) barrier() error {
 	cutErr := error(nil)
 	cutT, cutR := math.Inf(1), 0
-	for _, s := range pw.shards {
+	for _, s := range w.shards {
 		if s.err != nil && (cutErr == nil || s.errTime < cutT || (s.errTime == cutT && s.errRank < cutR)) {
 			cutErr, cutT, cutR = s.err, s.errTime, s.errRank
 		}
 	}
-	cfg := &pw.cfg
 	for {
-		var best *pshard
+		var best *shard
 		var bx *xsend
-		for _, s := range pw.shards {
+		for _, s := range w.shards {
 			x := s.out.peek()
 			if x == nil {
 				continue
@@ -320,63 +125,32 @@ func (pw *pworld) barrier() error {
 			return cutErr // the shard-local failure committed first
 		}
 		best.out.pop()
-		opts := network.SendOptions{FlowControlled: bx.bytes > EagerThreshold}
-		res, err := cfg.Net.SendOpts(bx.time, pw.node(bx.rank), pw.node(bx.dst), bx.bytes, opts)
-		if err != nil {
+		if err := w.land(*bx, &w.comms); err != nil {
 			return err
-		}
-		pw.crossSends++
-		pw.mail[bx.dst].push(bx.rank, bx.tag, msg{arrival: res.Arrival, dropped: res.Dropped, bytes: bx.bytes})
-		if cfg.CollectTrace {
-			pw.comms = append(pw.comms, trace.Comm{
-				Src: bx.rank, Dst: bx.dst, Tag: bx.tag, Bytes: bx.bytes,
-				Sent: bx.time, Arrived: res.Arrival, Dropped: res.Dropped,
-			})
-		}
-		if ro := pw.pending[bx.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
-			pw.matchBarrier(ro)
 		}
 	}
 	return cutErr
 }
 
-// matchBarrier is matchShard for the coordinator: the matched recv goes
-// to the heap of whichever shard owns the destination rank.
-func (pw *pworld) matchBarrier(o *op) {
-	m, ok := pw.mail[o.rank].match(o.src, o.tag)
-	if !ok {
-		return
+// mergedComms returns the run's comm log in commit order. A one-shard
+// run logged every comm in commit order already. A windowed run merges
+// the shards' intra-node logs with the barrier log by (Sent, Src): Sent
+// times are strictly increasing per sender (every send pays
+// SendOverhead before the next), so the key is unique and the merge
+// reproduces the one-shard insertion order — the tie-break trace.Sort's
+// stable by-Sent sort depends on.
+func (w *world) mergedComms() []trace.Comm {
+	if len(w.shards) == 1 {
+		return w.shards[0].comms
 	}
-	o.matched = true
-	o.matchedMsg = m
-	o.ready = math.Max(o.time, m.arrival)
-	pw.shards[pw.shardOf[o.rank]].heap.push(o)
-}
-
-// deadlockError reconstructs the sequential scheduler's deadlock
-// diagnostic from the global pending table.
-func (pw *pworld) deadlockError() error {
-	pw.nPending = 0
-	for _, s := range pw.shards {
-		pw.nPending += s.nPending
-	}
-	return pw.world.deadlockError()
-}
-
-// mergedComms merges the shards' intra-node comm logs with the barrier
-// comm log by (Sent, Src). Sent times are strictly increasing per
-// sender (every send pays SendOverhead before the next), so the key is
-// unique and the merge reproduces the sequential insertion order — the
-// tie-break trace.Sort's stable by-Sent sort depends on.
-func (pw *pworld) mergedComms() []trace.Comm {
-	lists := make([][]trace.Comm, 0, len(pw.shards)+1)
+	lists := make([][]trace.Comm, 0, len(w.shards)+1)
 	total := 0
-	for _, s := range pw.shards {
+	for _, s := range w.shards {
 		lists = append(lists, s.comms)
 		total += len(s.comms)
 	}
-	lists = append(lists, pw.comms)
-	total += len(pw.comms)
+	lists = append(lists, w.comms)
+	total += len(w.comms)
 	out := make([]trace.Comm, 0, total)
 	cur := make([]int, len(lists))
 	for len(out) < total {

@@ -11,10 +11,10 @@ import (
 	"montblanc/internal/xrand"
 )
 
-// The parallel scheduler's contract: byte-identical output at any
-// worker count. These tests run the same workload sequentially
-// (Workers: 0, the reference) and under the windowed scheduler at
-// workers 1..8, comparing reports, drop counts and full traces. The
+// The windowed scheduler's contract: byte-identical output at any
+// worker count. These tests run the same workload on one shard
+// (Workers: 0, the global-order reference) and in windows at workers
+// 2..8, comparing reports, drop counts and full traces. The
 // suite runs under -race in CI, doubling as the data-race proof of the
 // shard/barrier ownership discipline.
 
@@ -304,12 +304,11 @@ func TestParallelWorkerValidation(t *testing.T) {
 }
 
 // Window accounting sanity: a parallel run reports its shard count,
-// the network's lookahead and a positive window count.
+// the network's lookahead and a positive window count; a run at
+// Workers <= 1 reports one shard and no windows.
 func TestParallelSchedStats(t *testing.T) {
 	cfg := starConfig(16, 2)
-	cfg.Workers = 4
-	cfg.Net.Reset()
-	rep, err := Run(cfg, func(p *Proc) error {
+	body := func(p *Proc) error {
 		next := (p.Rank() + 1) % p.Size()
 		prev := (p.Rank() - 1 + p.Size()) % p.Size()
 		for it := 0; it < 3; it++ {
@@ -321,11 +320,13 @@ func TestParallelSchedStats(t *testing.T) {
 			}
 		}
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	st := rep.Sched
+	for _, workers := range []int{0, 1} {
+		if st := runParallelWorkers(t, cfg, workers, body).Sched; st.Workers != 1 || st.Windows != 0 {
+			t.Errorf("workers=%d: %d shards, %d windows; want 1 shard, 0 windows", workers, st.Workers, st.Windows)
+		}
+	}
+	st := runParallelWorkers(t, cfg, 4, body).Sched
 	if st.Workers != 4 {
 		t.Errorf("workers = %d, want 4", st.Workers)
 	}
@@ -447,6 +448,11 @@ func TestParallelEquivalenceFaultStorm(t *testing.T) {
 					seed, workers, got.Faults.DownSeconds, got.Faults.Interrupts, ref.Faults.DownSeconds, ref.Faults.Interrupts)
 			case got.Drops != ref.Drops:
 				t.Fatalf("seed %d workers=%d: drops %d, sequential %d", seed, workers, got.Drops, ref.Drops)
+			case got.Sched.Events != ref.Sched.Events:
+				t.Fatalf("seed %d workers=%d: events %d, sequential %d", seed, workers, got.Sched.Events, ref.Sched.Events)
+			case got.Sched.LocalSends != ref.Sched.LocalSends || got.Sched.CrossSends != ref.Sched.CrossSends:
+				t.Fatalf("seed %d workers=%d: send split (%d local, %d cross), sequential (%d, %d)",
+					seed, workers, got.Sched.LocalSends, got.Sched.CrossSends, ref.Sched.LocalSends, ref.Sched.CrossSends)
 			case !reflect.DeepEqual(got.Trace.Intervals, ref.Trace.Intervals):
 				t.Fatalf("seed %d workers=%d: trace intervals differ", seed, workers)
 			case !reflect.DeepEqual(got.Trace.Comms, ref.Trace.Comms):

@@ -6,16 +6,17 @@
 // collectives the applications need, built from point-to-point exactly
 // like a real MPI implementation would.
 //
-// Determinism: a central scheduler executes communication events in
-// global (virtual time, rank) order; it only commits an event when every
-// live rank has declared its next operation, so link reservations happen
-// in causal order regardless of goroutine scheduling. Running the same
+// Determinism: the scheduler executes communication events in global
+// (virtual time, rank) order; it only commits an event when every live
+// rank has declared its next operation, so link reservations happen in
+// causal order regardless of goroutine scheduling. Running the same
 // program twice produces bit-identical timings and traces.
 //
-// The scheduler commits from an indexed min-heap of executable
-// operations in O(log Ranks) per event with an allocation-free
-// steady-state hot path; SIMMPI.md documents the design, the
-// determinism invariants, and the performance envelope.
+// The scheduler commits from a min-heap of executable operations in
+// O(log Ranks) per event with an allocation-free steady-state hot path,
+// on one shard or, with Config.Workers > 1, on node-aligned shards in
+// lookahead windows; SIMMPI.md documents the design, the determinism
+// invariants, and the performance envelope.
 package simmpi
 
 import (
@@ -51,9 +52,9 @@ const MaxWorkers = 64
 //
 // Determinism: an outage changes only how a rank's local clock
 // advances — a pure function of (the rank's node, the rank's program)
-// — so the sequential and conservative-parallel schedulers commit
-// byte-identical runs with no new synchronization. Warps only ever
-// move clocks forward, which keeps the lookahead bound conservative.
+// — so runs stay byte-identical at any shard count with no new
+// synchronization. Warps only ever move clocks forward, which keeps the
+// lookahead bound conservative.
 type Outage struct {
 	Node       int
 	Start, End float64
@@ -90,14 +91,13 @@ type Config struct {
 	// tracing off) means no preallocation.
 	TraceHint int
 
-	// Workers selects the scheduler. At <= 1 (the default) events
-	// commit on the sequential reference scheduler in global
-	// (ready, rank) order. Above 1 the conservative parallel scheduler
-	// shards nodes across up to Workers goroutines committing in
-	// lookahead-bounded windows (see parallel.go and SIMMPI.md);
-	// values above MaxWorkers are clamped, and the engine falls back
-	// to the sequential path when the network reports no lookahead or
-	// the job is too small to shard. Output is byte-identical at every
+	// Workers is the number of scheduler shards. At <= 1 (the default)
+	// one shard commits every event in the global (ready, rank) order
+	// on the caller's goroutine. Above 1 nodes are sharded across up to
+	// Workers goroutines committing in lookahead-bounded windows (see
+	// parallel.go and SIMMPI.md); values above MaxWorkers are clamped,
+	// and the run uses one shard when the network reports no lookahead
+	// or the job has a single node. Output is byte-identical at every
 	// value — Workers trades wall-clock only.
 	Workers int
 }
@@ -175,16 +175,15 @@ type FaultStats struct {
 // SchedStats describes one run from the scheduler's point of view:
 // the observability the speedup curve is explained with. Every field
 // except Workers, Windows and Wall is invariant in the worker count —
-// cross-node sends go through the window barrier at any shard layout,
-// so the cross-send ratio measured sequentially predicts the parallel
-// barrier traffic.
+// sends are counted as they commit, so the cross-send ratio of a
+// one-shard run predicts the barrier traffic of a windowed one.
 type SchedStats struct {
-	Workers    int     // scheduler shards used (1 = sequential reference)
+	Workers    int     // scheduler shards used (1 = global order, no windows)
 	Lookahead  float64 // seconds: the network's min cross-node latency (0 = unknown)
-	Windows    uint64  // commit windows barriered (0 on the sequential path)
+	Windows    uint64  // commit windows barriered (0 on one shard)
 	Events     uint64  // operations committed
-	LocalSends uint64  // intra-node sends, committed shard-locally
-	CrossSends uint64  // cross-node sends, exchanged at window barriers
+	LocalSends uint64  // intra-node sends, delivered by their shard
+	CrossSends uint64  // cross-node sends, delivered at window barriers when windowed
 	Wall       float64 // host seconds spent inside the run
 }
 
@@ -224,7 +223,6 @@ type op struct {
 	matched       bool    // recv only
 	matchedMsg    msg
 	err           error // exit only
-	heapIdx       int   // position in the scheduler heap, -1 if outside
 }
 
 type msg struct {
@@ -238,28 +236,30 @@ type resumeMsg struct {
 	dropped bool // recv only: the message was retransmitted en route
 }
 
-// hooks are test-only scheduler observation points; the zero value is
-// the production configuration.
-type hooks struct {
-	// linearScan replaces the heap pick with the seed scheduler's
-	// O(Ranks) scan over pending ops — the reference implementation the
-	// equivalence property suite compares commit orders against.
-	linearScan bool
-	// onCommit, when set, observes every committed operation in commit
-	// order.
-	onCommit func(kind opKind, rank int, ready float64)
-}
-
+// world is one run's scheduler state. Ranks are partitioned into shards
+// of whole nodes, and each shard commits its ranks' operations from its
+// own heap in (ready, rank) order. With one shard (the default) that is
+// the global commit order, run on the caller's goroutine in a single
+// window with no edge; with several, the shards commit concurrently in
+// lookahead-bounded windows (parallel.go).
 type world struct {
 	cfg      Config
-	opCh     chan *op
 	resume   []chan resumeMsg
 	mail     []mailbox // indexed by destination rank
 	pending  []*op     // indexed by rank; nil when the rank has not declared
-	nPending int
-	heap     opHeap
-	comms    []trace.Comm
-	hooks    hooks
+	shards   []*shard
+	shardOf  []int // rank -> index into shards
+	endTimes []float64
+	rankErrs []error
+
+	// Windowed runs only: shard completion signals, and the log of the
+	// cross-node comms delivered at window barriers.
+	phaseDone chan struct{}
+	comms     []trace.Comm
+
+	// observe, when set, sees each op just before it commits, alongside
+	// the pending table it was chosen from. Only tests set it.
+	observe func(pending []*op, o *op)
 
 	// outages holds each node's merged, start-sorted outage windows;
 	// nil for failure-free runs (the hot paths then skip all fault
@@ -273,6 +273,32 @@ type world struct {
 	recvLabels []string
 }
 
+// shard is a contiguous block of whole nodes with its own declaration
+// channel, min-heap and comm log. In a windowed run all fields are
+// owned by the shard goroutine during a window and read by the
+// coordinator only between phaseDone and the next cmd send.
+type shard struct {
+	opCh     chan *op
+	heap     opHeap
+	live     int          // ranks not yet exited
+	nPending int          // ranks with a declared, uncommitted op
+	comms    []trace.Comm // comms this shard delivered, in its commit order
+	events   uint64
+	locals   uint64 // intra-node sends
+	crosses  uint64 // cross-node sends
+
+	// Windowed runs only: cross-node sends awaiting the barrier, and the
+	// next window edge (closed to stop the shard).
+	out outbox
+	cmd chan float64
+
+	// First delivery failure in shard order; a windowed run resolves the
+	// globally-first error across shards and the barrier.
+	err     error
+	errTime float64
+	errRank int
+}
+
 func (w *world) node(rank int) int { return rank / w.cfg.RanksPerNode }
 
 // Proc is the handle a rank program uses: its identity, virtual clock
@@ -281,7 +307,7 @@ type Proc struct {
 	rank, size   int
 	now          float64
 	w            *world
-	opCh         chan *op // where this rank declares operations (per-shard when parallel)
+	opCh         chan *op // where this rank declares operations: its shard's channel
 	tr           *trace.Trace
 	collSeq      map[string]int
 	droppedRecvs int // running count of retransmitted messages received
@@ -474,21 +500,43 @@ func (p *Proc) Collective(name string, body func() error) error {
 // Run executes body on every rank of a fresh world and returns the
 // report. Any rank error aborts with that error (lowest rank wins).
 func Run(cfg Config, body func(*Proc) error) (*Report, error) {
-	return run(cfg, body, hooks{})
+	return run(cfg, body, nil)
 }
 
-// newWorld builds the state both schedulers share: mailboxes, resume
-// channels, the pending table and the interned trace labels.
-func newWorld(cfg Config, h hooks) *world {
+// newWorld builds a run's state: mailboxes, the pending table, the
+// interned trace labels and the given number of shards, each owning a
+// contiguous block of whole nodes so that intra-node traffic (loopback
+// links, same-node mailboxes) never crosses a shard boundary.
+func newWorld(cfg Config, workers int) *world {
 	w := &world{
-		cfg:     cfg,
-		resume:  make([]chan resumeMsg, cfg.Ranks),
-		mail:    make([]mailbox, cfg.Ranks),
-		pending: make([]*op, cfg.Ranks),
-		hooks:   h,
+		cfg:      cfg,
+		resume:   make([]chan resumeMsg, cfg.Ranks),
+		mail:     make([]mailbox, cfg.Ranks),
+		pending:  make([]*op, cfg.Ranks),
+		shardOf:  make([]int, cfg.Ranks),
+		endTimes: make([]float64, cfg.Ranks),
+		rankErrs: make([]error, cfg.Ranks),
 	}
 	if len(cfg.Outages) > 0 {
 		w.outages = buildNodeOutages(cfg)
+	}
+	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
+	base, rem := nodes/workers, nodes%workers
+	node0 := 0
+	for i := 0; i < workers; i++ {
+		nn := base
+		if i < rem {
+			nn++
+		}
+		lo := node0 * cfg.RanksPerNode
+		hi := min((node0+nn)*cfg.RanksPerNode, cfg.Ranks)
+		s := &shard{opCh: make(chan *op), live: hi - lo}
+		s.heap.a = make([]*op, 0, hi-lo)
+		for r := lo; r < hi; r++ {
+			w.shardOf[r] = i
+		}
+		w.shards = append(w.shards, s)
+		node0 += nn
 	}
 	if cfg.CollectTrace {
 		w.sendLabels = make([]string, cfg.Ranks)
@@ -499,22 +547,28 @@ func newWorld(cfg Config, h hooks) *world {
 			w.recvLabels[i] = "recv<-" + n
 		}
 		if cfg.TraceHint > 0 {
-			// Roughly half a rank's intervals are sends, each one comm.
-			w.comms = make([]trace.Comm, 0, cfg.Ranks*cfg.TraceHint/2)
+			// Roughly half a rank's intervals are sends, each one comm;
+			// they all land in the one shard's log, or (cross-node ones)
+			// in the barrier's.
+			hint := make([]trace.Comm, 0, cfg.Ranks*cfg.TraceHint/2)
+			if workers == 1 {
+				w.shards[0].comms = hint
+			} else {
+				w.comms = hint
+			}
 		}
 	}
 	return w
 }
 
 // spawnProcs starts one goroutine per rank running body; each rank
-// declares operations on chFor(rank) — the shared channel sequentially,
-// its shard's channel in parallel.
-func (w *world) spawnProcs(body func(*Proc) error, chFor func(rank int) chan *op) []*Proc {
+// declares operations on its shard's channel.
+func (w *world) spawnProcs(body func(*Proc) error) []*Proc {
 	cfg := w.cfg
 	procs := make([]*Proc, cfg.Ranks)
 	for r := 0; r < cfg.Ranks; r++ {
 		w.resume[r] = make(chan resumeMsg, 1)
-		p := &Proc{rank: r, size: cfg.Ranks, w: w, opCh: chFor(r), collSeq: map[string]int{}}
+		p := &Proc{rank: r, size: cfg.Ranks, w: w, opCh: w.shards[w.shardOf[r]].opCh, collSeq: map[string]int{}}
 		if w.outages != nil {
 			p.down = w.outages[w.node(r)]
 			p.skipDown() // a node down at t=0 boots its ranks at the restart
@@ -611,175 +665,182 @@ func mergeTrace(cfg Config, procs []*Proc, comms []trace.Comm) *trace.Trace {
 }
 
 // shardCount returns how many scheduler shards a run will use: Workers
-// bounded by the node count, collapsing to the sequential path when
-// parallelism cannot help (one worker, one node) or cannot be proven
-// exact (no lookahead from the network, scheduler observation hooks).
-func shardCount(cfg Config, h hooks) int {
-	if cfg.Workers <= 1 || h.linearScan || h.onCommit != nil {
-		return 1
-	}
-	if !(cfg.Net.Lookahead() > 0) {
+// bounded by the node count, collapsing to one shard when parallelism
+// cannot help (one worker, one node) or cannot be proven exact (no
+// lookahead from the network).
+func shardCount(cfg Config) int {
+	if cfg.Workers <= 1 || !(cfg.Net.Lookahead() > 0) {
 		return 1
 	}
 	nodes := (cfg.Ranks + cfg.RanksPerNode - 1) / cfg.RanksPerNode
-	workers := cfg.Workers
-	if workers > nodes {
-		workers = nodes
-	}
-	return workers
+	return min(cfg.Workers, nodes)
 }
 
-// run is Run with scheduler hooks (production callers pass the zero
-// value via Run; tests use the hooks to compare pickers and observe
-// commit order).
-func run(cfg Config, body func(*Proc) error, h hooks) (*Report, error) {
+// run is Run with a commit observer (see world.observe); Run passes nil.
+func run(cfg Config, body func(*Proc) error, observe func(pending []*op, o *op)) (*Report, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if workers := shardCount(cfg, h); workers > 1 {
-		return runParallel(cfg, body, workers)
-	}
 	start := nowMonotonic()
-	w := newWorld(cfg, h)
-	w.opCh = make(chan *op)
-	w.heap.a = make([]*op, 0, cfg.Ranks)
-	procs := w.spawnProcs(body, func(int) chan *op { return w.opCh })
+	w := newWorld(cfg, shardCount(cfg))
+	w.observe = observe
+	procs := w.spawnProcs(body)
 
-	endTimes := make([]float64, cfg.Ranks)
-	rankErrs := make([]error, cfg.Ranks)
-	live := cfg.Ranks
-	netErr := error(nil)
-	stats := SchedStats{Workers: 1, Lookahead: cfg.Net.Lookahead()}
-
-	for live > 0 && netErr == nil {
-		// Collect until every live rank has declared its next operation
-		// — the barrier that makes commit order independent of goroutine
-		// scheduling.
-		for w.nPending < live {
-			o := <-w.opCh
-			w.pending[o.rank] = o
-			w.nPending++
-			switch o.kind {
-			case opSend, opExit:
-				o.ready = o.time
-				w.enqueue(o)
-			case opRecv:
-				o.ready = math.Inf(1)
-				w.tryMatch(o)
-			}
-		}
-		// Commit the executable op with the smallest (ready, rank).
-		best := w.pick()
-		if best == nil {
-			return nil, w.deadlockError()
-		}
-		w.pending[best.rank] = nil
-		w.nPending--
-		stats.Events++
-		if h.onCommit != nil {
-			h.onCommit(best.kind, best.rank, best.ready)
-		}
-		switch best.kind {
-		case opSend:
-			if w.node(best.rank) == w.node(best.dst) {
-				stats.LocalSends++
-			} else {
-				stats.CrossSends++
-			}
-			res, err := w.deliver(best)
-			if err != nil {
-				netErr = err
-				break
-			}
-			m := msg{arrival: res.Arrival, dropped: res.Dropped, bytes: best.bytes}
-			w.mail[best.dst].push(best.rank, best.tag, m)
-			if cfg.CollectTrace {
-				w.comms = append(w.comms, trace.Comm{
-					Src: best.rank, Dst: best.dst, Tag: best.tag, Bytes: best.bytes,
-					Sent: best.time, Arrived: res.Arrival, Dropped: res.Dropped,
-				})
-			}
-			// A parked recv may now be satisfiable.
-			if ro := w.pending[best.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
-				w.tryMatch(ro)
-			}
-			overhead := cfg.SendOverhead + float64(best.bytes)/cfg.CopyBandwidth
-			w.resume[best.rank] <- resumeMsg{time: best.time + overhead}
-		case opRecv:
-			copyCost := float64(best.matchedMsg.bytes) / cfg.CopyBandwidth
-			w.resume[best.rank] <- resumeMsg{
-				time:    best.ready + copyCost,
-				dropped: best.matchedMsg.dropped,
-			}
-		case opExit:
-			live--
-			endTimes[best.rank] = best.time
-			rankErrs[best.rank] = best.err
-		}
+	stats := SchedStats{Workers: len(w.shards), Lookahead: cfg.Net.Lookahead()}
+	var err error
+	if len(w.shards) == 1 {
+		err = w.runOne()
+	} else {
+		stats.Windows, err = w.runWindows()
 	}
-	if netErr != nil {
-		return nil, netErr
+	if err != nil {
+		return nil, err
 	}
-	for r, err := range rankErrs {
+	for r, err := range w.rankErrs {
 		if err != nil {
 			return nil, fmt.Errorf("simmpi: rank %d: %w", r, err)
 		}
 	}
 
+	for _, s := range w.shards {
+		stats.Events += s.events
+		stats.LocalSends += s.locals
+		stats.CrossSends += s.crosses
+	}
 	stats.Wall = nowMonotonic() - start
-	rep := &Report{RankSeconds: endTimes, Drops: cfg.Net.Drops(), Sched: stats,
+	rep := &Report{RankSeconds: w.endTimes, Drops: cfg.Net.Drops(), Sched: stats,
 		Faults: faultTotals(procs)}
-	for _, t := range endTimes {
+	for _, t := range w.endTimes {
 		if t > rep.Seconds {
 			rep.Seconds = t
 		}
 	}
 	if cfg.CollectTrace {
-		rep.Trace = mergeTrace(cfg, procs, w.comms)
+		rep.Trace = mergeTrace(cfg, procs, w.mergedComms())
 	}
 	recordEngineRun(stats)
 	return rep, nil
 }
 
-// enqueue makes an executable op eligible for commit.
-func (w *world) enqueue(o *op) {
-	if w.hooks.linearScan {
-		return // the reference picker scans pending directly
+// runOne commits a one-shard run: a single window with no edge, on the
+// caller's goroutine, so every op commits in the global (ready, rank)
+// order and every send is delivered as it commits.
+func (w *world) runOne() error {
+	s := w.shards[0]
+	w.runWindow(s, math.Inf(1))
+	switch {
+	case s.err != nil:
+		return s.err
+	case s.live > 0:
+		return w.deadlockError()
 	}
-	w.heap.push(o)
+	return nil
 }
 
-// pick returns the executable pending op with the smallest
-// (ready, rank), or nil if none is executable.
-func (w *world) pick() *op {
-	if w.hooks.linearScan {
-		// Seed scheduler reference: O(Ranks) scan, lowest rank wins ties
-		// because later equal-ready ops do not displace the incumbent.
-		var best *op
-		for _, o := range w.pending {
-			if o == nil || math.IsInf(o.ready, 1) {
-				continue
-			}
-			if best == nil || o.ready < best.ready {
-				best = o
+// runWindow collects declarations and commits the shard's ops with
+// ready < edge in the shard's (ready, rank) order — exactly the global
+// commit order restricted to the shard's ranks. It returns when the
+// next op lies at or past the edge, when no op is executable, or on a
+// delivery failure.
+func (w *world) runWindow(s *shard, edge float64) {
+	s.out.reset()
+	for s.err == nil {
+		// Collect until every live rank of the shard has declared — the
+		// barrier that makes commit order independent of goroutine
+		// scheduling. Parked recvs count as declared.
+		for s.nPending < s.live {
+			o := <-s.opCh
+			w.pending[o.rank] = o
+			s.nPending++
+			switch o.kind {
+			case opSend, opExit:
+				o.ready = o.time
+				s.heap.push(o)
+			case opRecv:
+				o.ready = math.Inf(1)
+				w.match(o)
 			}
 		}
-		return best
+		best := s.heap.peek()
+		if best == nil || best.ready >= edge {
+			return
+		}
+		if w.observe != nil {
+			w.observe(w.pending, best)
+		}
+		s.heap.pop()
+		w.pending[best.rank] = nil
+		s.nPending--
+		s.events++
+		switch best.kind {
+		case opSend:
+			w.commitSend(s, best)
+		case opRecv:
+			copyCost := float64(best.matchedMsg.bytes) / w.cfg.CopyBandwidth
+			w.resume[best.rank] <- resumeMsg{
+				time:    best.ready + copyCost,
+				dropped: best.matchedMsg.dropped,
+			}
+		case opExit:
+			s.live--
+			w.endTimes[best.rank] = best.time
+			w.rankErrs[best.rank] = best.err
+		}
 	}
-	return w.heap.pop()
 }
 
-// deliver pushes a send through the network, choosing eager or
-// rendezvous by size.
-func (w *world) deliver(o *op) (network.Result, error) {
-	opts := network.SendOptions{FlowControlled: o.bytes > EagerThreshold}
-	return w.cfg.Net.SendOpts(o.time, w.node(o.rank), w.node(o.dst), o.bytes, opts)
+// commitSend commits one send. It is delivered at once unless it
+// crosses nodes in a windowed run, where it waits in the outbox for the
+// barrier sweep. Either way the sender resumes now: its resume time
+// does not depend on the delivery outcome.
+func (w *world) commitSend(s *shard, o *op) {
+	cfg := &w.cfg
+	// Float addition is not associative: this grouping is part of the
+	// byte-identity contract.
+	overhead := cfg.SendOverhead + float64(o.bytes)/cfg.CopyBandwidth
+	resumeAt := o.time + overhead
+	x := xsend{time: o.time, rank: o.rank, dst: o.dst, tag: o.tag, bytes: o.bytes}
+	cross := w.node(o.rank) != w.node(o.dst)
+	if cross {
+		s.crosses++
+	} else {
+		s.locals++
+	}
+	if cross && len(w.shards) > 1 {
+		s.out.push(x)
+	} else if err := w.land(x, &s.comms); err != nil {
+		s.err, s.errTime, s.errRank = err, o.time, o.rank
+		return
+	}
+	w.resume[o.rank] <- resumeMsg{time: resumeAt}
 }
 
-// tryMatch completes a pending recv against the mailbox if possible,
-// making it executable.
-func (w *world) tryMatch(o *op) {
+// land pushes a committed send through the network, eager or
+// rendezvous by size, into the destination's mailbox; logs the comm
+// when tracing; and matches a recv parked on it.
+func (w *world) land(x xsend, log *[]trace.Comm) error {
+	opts := network.SendOptions{FlowControlled: x.bytes > EagerThreshold}
+	res, err := w.cfg.Net.SendOpts(x.time, w.node(x.rank), w.node(x.dst), x.bytes, opts)
+	if err != nil {
+		return err
+	}
+	w.mail[x.dst].push(x.rank, x.tag, msg{arrival: res.Arrival, dropped: res.Dropped, bytes: x.bytes})
+	if w.cfg.CollectTrace {
+		*log = append(*log, trace.Comm{
+			Src: x.rank, Dst: x.dst, Tag: x.tag, Bytes: x.bytes,
+			Sent: x.time, Arrived: res.Arrival, Dropped: res.Dropped,
+		})
+	}
+	if ro := w.pending[x.dst]; ro != nil && ro.kind == opRecv && !ro.matched {
+		w.match(ro)
+	}
+	return nil
+}
+
+// match completes a parked recv against its mailbox if a message is
+// waiting, pushing it onto the heap of the shard that owns its rank.
+func (w *world) match(o *op) {
 	m, ok := w.mail[o.rank].match(o.src, o.tag)
 	if !ok {
 		return
@@ -787,7 +848,7 @@ func (w *world) tryMatch(o *op) {
 	o.matched = true
 	o.matchedMsg = m
 	o.ready = math.Max(o.time, m.arrival)
-	w.enqueue(o)
+	w.shards[w.shardOf[o.rank]].heap.push(o)
 }
 
 // describe renders the op for diagnostics.
@@ -826,7 +887,11 @@ func (w *world) deadlockError() error {
 	if lowest == -1 {
 		return errors.New("simmpi: deadlock with no pending operations")
 	}
+	nPending := 0
+	for _, s := range w.shards {
+		nPending += s.nPending
+	}
 	o := w.pending[lowest]
 	return fmt.Errorf("simmpi: deadlock: rank %d waiting on %s (%d more ranks blocked; pending ops: %d send, %d recv, %d exit)",
-		lowest, o.describe(), w.nPending-1, kinds[opSend], kinds[opRecv], kinds[opExit])
+		lowest, o.describe(), nPending-1, kinds[opSend], kinds[opRecv], kinds[opExit])
 }

@@ -140,3 +140,39 @@ func TestMailboxQueueAllocsAmortized(t *testing.T) {
 		t.Errorf("long-queue path allocates %.2f per op, want <= 1", perOp)
 	}
 }
+
+// spawnAllocsPerRank is the measured per-rank set-up cost of an
+// untraced run: the rank's coroutine (iter.Pull and the bound body, 13
+// allocations). Procs share one backing array and the trace-only
+// collective counters are not built, so nothing else grows with rank
+// count.
+const spawnAllocsPerRank = 13
+
+// Per-rank set-up allocations of an untraced Run, pinned at the
+// measured value plus 0.5 slack: the count is the slope between a 128-
+// and a 256-rank run of an empty program, so per-run fixed costs cancel
+// and any new allocation per rank (a map, a channel, a goroutine
+// closure) trips the guard.
+func TestSpawnAllocsPerRank(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	body := func(p *Proc) error { return nil }
+	allocs := func(ranks int) float64 {
+		cfg := starConfig(ranks, 2)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(cfg, body); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	small, large := allocs(128), allocs(256)
+	if t.Failed() {
+		t.FailNow()
+	}
+	perRank := (large - small) / 128
+	t.Logf("allocs: %.0f at 128 ranks, %.0f at 256, %.2f per rank", small, large, perRank)
+	if perRank > spawnAllocsPerRank+0.5 {
+		t.Errorf("run set-up allocates %.2f per rank, want <= %d + 0.5 (tracing off)", perRank, spawnAllocsPerRank)
+	}
+}

@@ -42,13 +42,18 @@ func (w *world) runWindows() (uint64, error) {
 		go w.shardLoop(s)
 	}
 	defer func() {
+		// Each shard stops its ranks' coroutines on its own goroutine
+		// before it signals, so none outlives the run.
 		for _, s := range w.shards {
 			close(s.cmd)
+		}
+		for range w.shards {
+			<-w.phaseDone
 		}
 	}()
 	la := w.cfg.Net.Lookahead()
 	windows := uint64(0)
-	edge := math.Inf(-1) // first phase only collects declarations
+	edge := math.Inf(-1) // first phase only steps every rank to its first declaration
 	for {
 		for _, s := range w.shards {
 			s.cmd <- edge
@@ -83,13 +88,17 @@ func (w *world) runWindows() (uint64, error) {
 	}
 }
 
-// shardLoop runs one shard: a window per cmd value until the channel
-// closes.
+// shardLoop runs one shard on its own goroutine, which creates,
+// resumes and stops the shard's rank coroutines: a window per cmd value
+// until the channel closes.
 func (w *world) shardLoop(s *shard) {
+	w.start(s)
 	for edge := range s.cmd {
 		w.runWindow(s, edge)
 		w.phaseDone <- struct{}{}
 	}
+	s.stop()
+	w.phaseDone <- struct{}{}
 }
 
 // barrier runs between windows with every shard parked: it drains the

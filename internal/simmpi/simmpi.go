@@ -1,16 +1,17 @@
 // Package simmpi is a deterministic, discrete-event MPI simulator: rank
-// programs written in Go run as goroutines against a simulated network
-// and advance a virtual clock instead of wall time. It provides the
-// substrate for the paper's scalability studies (Figures 3 and 4):
-// point-to-point messaging with eager and rendezvous protocols, and the
-// collectives the applications need, built from point-to-point exactly
-// like a real MPI implementation would.
+// programs written in Go run as coroutines (iter.Pull) against a
+// simulated network and advance a virtual clock instead of wall time.
+// It provides the substrate for the paper's scalability studies
+// (Figures 3 and 4): point-to-point messaging with eager and rendezvous
+// protocols, and the collectives the applications need, built from
+// point-to-point exactly like a real MPI implementation would.
 //
 // Determinism: the scheduler executes communication events in global
 // (virtual time, rank) order; it only commits an event when every live
-// rank has declared its next operation, so link reservations happen in
-// causal order regardless of goroutine scheduling. Running the same
-// program twice produces bit-identical timings and traces.
+// rank has declared its next operation, and it runs each rank to its
+// next declaration itself, so link reservations happen in causal order
+// regardless of goroutine scheduling. Running the same program twice
+// produces bit-identical timings and traces.
 //
 // The scheduler commits from a min-heap of executable operations in
 // O(log Ranks) per event with an allocation-free steady-state hot path,
@@ -22,6 +23,7 @@ package simmpi
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 	"strconv"
@@ -209,10 +211,10 @@ func (k opKind) String() string {
 }
 
 // op is one rank's declared next operation. Each Proc owns exactly one
-// op struct for its whole lifetime (postBuf): because a rank blocks
-// until the scheduler resumes it, and the scheduler never touches an op
-// after sending the resume, the struct can be reused for every post —
-// the hot path allocates nothing per operation.
+// op struct for its whole lifetime (postBuf): because a rank is
+// suspended until the scheduler resumes it, and the scheduler never
+// touches an op after resuming its rank, the struct can be reused for
+// every post — the hot path allocates nothing per operation.
 type op struct {
 	kind          opKind
 	rank          int
@@ -244,7 +246,8 @@ type resumeMsg struct {
 // lookahead-bounded windows (parallel.go).
 type world struct {
 	cfg      Config
-	resume   []chan resumeMsg
+	body     func(*Proc) error // the rank program
+	procs    []*Proc
 	mail     []mailbox // indexed by destination rank
 	pending  []*op     // indexed by rank; nil when the rank has not declared
 	shards   []*shard
@@ -273,19 +276,18 @@ type world struct {
 	recvLabels []string
 }
 
-// shard is a contiguous block of whole nodes with its own declaration
-// channel, min-heap and comm log. In a windowed run all fields are
+// shard is a contiguous block of whole nodes with its own ranks'
+// coroutines, min-heap and comm log. In a windowed run all fields are
 // owned by the shard goroutine during a window and read by the
 // coordinator only between phaseDone and the next cmd send.
 type shard struct {
-	opCh     chan *op
-	heap     opHeap
-	live     int          // ranks not yet exited
-	nPending int          // ranks with a declared, uncommitted op
-	comms    []trace.Comm // comms this shard delivered, in its commit order
-	events   uint64
-	locals   uint64 // intra-node sends
-	crosses  uint64 // cross-node sends
+	procs   []*Proc // the shard's ranks, in rank order
+	heap    opHeap
+	live    int          // ranks not yet exited
+	comms   []trace.Comm // comms this shard delivered, in its commit order
+	events  uint64
+	locals  uint64 // intra-node sends
+	crosses uint64 // cross-node sends
 
 	// Windowed runs only: cross-node sends awaiting the barrier, and the
 	// next window edge (closed to stop the shard).
@@ -307,11 +309,18 @@ type Proc struct {
 	rank, size   int
 	now          float64
 	w            *world
-	opCh         chan *op // where this rank declares operations: its shard's channel
 	tr           *trace.Trace
-	collSeq      map[string]int
-	droppedRecvs int // running count of retransmitted messages received
-	postBuf      op  // the rank's reusable operation struct
+	collSeq      map[string]int // traced runs only: per-name collective instance counter
+	droppedRecvs int            // running count of retransmitted messages received
+	postBuf      op             // the rank's reusable operation struct
+
+	// The rank's coroutine: the body yields each declared op, next
+	// resumes it up to its next declaration, and stop unwinds it. res
+	// is the resume value the scheduler stores before calling next.
+	yield func(*op) bool
+	next  func() (*op, bool)
+	stop  func()
+	res   resumeMsg
 
 	// down is this rank's node's outage schedule (nil when failure-
 	// free); downIdx advances monotonically with the clock, so fault
@@ -418,9 +427,13 @@ func (p *Proc) record(kind trace.Kind, name string, start, end float64) {
 	})
 }
 
-// post submits an operation through the rank's reusable op struct and
-// blocks until the scheduler completes it. The scheduler owns the
-// struct from the channel send until it resumes the rank; it never
+// stopRank is the panic value that unwinds a rank body whose coroutine
+// was stopped mid-operation; the rank's wrapper recovers it.
+type stopRank struct{}
+
+// post declares an operation through the rank's reusable op struct and
+// suspends the rank until the scheduler completes it. The scheduler
+// owns the struct from the yield until it resumes the rank; it never
 // touches the op afterwards, so the next post may safely overwrite it.
 func (p *Proc) post(kind opKind, src, dst, tag, bytes int) resumeMsg {
 	o := &p.postBuf
@@ -432,8 +445,10 @@ func (p *Proc) post(kind opKind, src, dst, tag, bytes int) resumeMsg {
 	o.matched = false
 	o.matchedMsg = msg{}
 	o.err = nil
-	p.opCh <- o
-	return <-p.w.resume[p.rank]
+	if !p.yield(o) {
+		panic(stopRank{})
+	}
+	return p.res
 }
 
 // Send transmits bytes to rank dst with the given tag. It returns once
@@ -448,13 +463,7 @@ func (p *Proc) Send(dst, tag, bytes int) error {
 	}
 	start := p.now
 	p.now = p.post(opSend, 0, dst, tag, bytes).time
-	if p.tr != nil {
-		p.record(trace.StateSend, p.w.sendLabels[dst], start, p.now)
-	}
-	// A completion landing inside an outage is observed at the restart;
-	// the gap between the recorded interval and the warped clock shows
-	// up as idle time.
-	p.skipDown()
+	p.complete(trace.StateSend, p.w.sendLabels, dst, start)
 	return nil
 }
 
@@ -469,11 +478,21 @@ func (p *Proc) Recv(src, tag int) error {
 	if r.dropped {
 		p.droppedRecvs++
 	}
-	if p.tr != nil {
-		p.record(trace.StateRecv, p.w.recvLabels[src], start, p.now)
-	}
-	p.skipDown() // deferred completion, as in Send
+	p.complete(trace.StateRecv, p.w.recvLabels, src, start)
 	return nil
+}
+
+// complete records a finished send or recv with the peer's interned
+// label, then applies any outage the completion landed in: it is
+// observed at the restart, and the gap between the recorded interval
+// and the warped clock shows up as idle time. It is kept out of Send
+// and Recv because their frames sit on a suspended rank's stack, and
+// the runtime sizes new goroutine stacks from the average it scans.
+func (p *Proc) complete(kind trace.Kind, labels []string, peer int, start float64) {
+	if p.tr != nil {
+		p.record(kind, labels[peer], start, p.now)
+	}
+	p.skipDown()
 }
 
 // Collective wraps body in a named collective interval; the instance
@@ -482,18 +501,25 @@ func (p *Proc) Recv(src, tag int) error {
 // rank's receives inside the collective were retransmitted — the
 // Figure 4 congestion evidence.
 func (p *Proc) Collective(name string, body func() error) error {
+	if p.tr == nil {
+		return body()
+	}
+	return p.tracedCollective(name, body)
+}
+
+// tracedCollective is Collective with tracing on, kept out of line so
+// an untraced Collective adds no frame under the collective's body.
+func (p *Proc) tracedCollective(name string, body func() error) error {
 	seq := p.collSeq[name]
 	p.collSeq[name] = seq + 1
 	start := p.now
 	dropsBefore := p.droppedRecvs
 	err := body()
-	if p.tr != nil {
-		p.tr.AddInterval(trace.Interval{
-			Rank: p.rank, Kind: trace.StateCollective,
-			Name: name + "#" + strconv.Itoa(seq), Start: start, End: p.now,
-			Dropped: p.droppedRecvs - dropsBefore,
-		})
-	}
+	p.tr.AddInterval(trace.Interval{
+		Rank: p.rank, Kind: trace.StateCollective,
+		Name: name + "#" + strconv.Itoa(seq), Start: start, End: p.now,
+		Dropped: p.droppedRecvs - dropsBefore,
+	})
 	return err
 }
 
@@ -510,7 +536,7 @@ func Run(cfg Config, body func(*Proc) error) (*Report, error) {
 func newWorld(cfg Config, workers int) *world {
 	w := &world{
 		cfg:      cfg,
-		resume:   make([]chan resumeMsg, cfg.Ranks),
+		procs:    make([]*Proc, cfg.Ranks),
 		mail:     make([]mailbox, cfg.Ranks),
 		pending:  make([]*op, cfg.Ranks),
 		shardOf:  make([]int, cfg.Ranks),
@@ -530,7 +556,7 @@ func newWorld(cfg Config, workers int) *world {
 		}
 		lo := node0 * cfg.RanksPerNode
 		hi := min((node0+nn)*cfg.RanksPerNode, cfg.Ranks)
-		s := &shard{opCh: make(chan *op), live: hi - lo}
+		s := &shard{procs: w.procs[lo:hi], live: hi - lo}
 		s.heap.a = make([]*op, 0, hi-lo)
 		for r := lo; r < hi; r++ {
 			w.shardOf[r] = i
@@ -561,14 +587,15 @@ func newWorld(cfg Config, workers int) *world {
 	return w
 }
 
-// spawnProcs starts one goroutine per rank running body; each rank
-// declares operations on its shard's channel.
-func (w *world) spawnProcs(body func(*Proc) error) []*Proc {
+// newProcs builds every rank's Proc, in one backing array. The ranks'
+// coroutines are created later, by the goroutine of the shard that
+// will resume them (start).
+func (w *world) newProcs() {
 	cfg := w.cfg
-	procs := make([]*Proc, cfg.Ranks)
-	for r := 0; r < cfg.Ranks; r++ {
-		w.resume[r] = make(chan resumeMsg, 1)
-		p := &Proc{rank: r, size: cfg.Ranks, w: w, opCh: w.shards[w.shardOf[r]].opCh, collSeq: map[string]int{}}
+	all := make([]Proc, cfg.Ranks)
+	for r := range all {
+		p := &all[r]
+		p.rank, p.size, p.w = r, cfg.Ranks, w
 		if w.outages != nil {
 			p.down = w.outages[w.node(r)]
 			p.skipDown() // a node down at t=0 boots its ranks at the restart
@@ -578,26 +605,41 @@ func (w *world) spawnProcs(body func(*Proc) error) []*Proc {
 			if cfg.TraceHint > 0 {
 				p.tr.Reserve(cfg.TraceHint, 0)
 			}
+			p.collSeq = map[string]int{}
 		}
-		procs[r] = p
-		go func(p *Proc) {
-			var err error
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						err = fmt.Errorf("rank body panicked: %v", r)
-					}
-				}()
-				err = body(p)
-			}()
-			// The body has returned: its final post (if any) is fully
-			// committed, so the reusable op struct is free for the exit.
-			o := &p.postBuf
-			*o = op{kind: opExit, rank: p.rank, time: p.now, err: err}
-			p.opCh <- o
-		}(p)
+		w.procs[r] = p
 	}
-	return procs
+}
+
+// coroutine returns the rank's coroutine body: it runs the rank program
+// to completion, turning a panic into the rank's error, then declares
+// the rank's exit. A stopped rank unwinds its program through the
+// stopRank panic and declares nothing more. The frames here sit under
+// every rank's stack for the whole run, so they stay small: the runtime
+// sizes new goroutine stacks from the average it scans.
+func (p *Proc) coroutine() func(yield func(*op) bool) {
+	return func(yield func(*op) bool) {
+		p.yield = yield
+		var err error
+		defer func() {
+			if r := recover(); r != nil {
+				if _, stopped := r.(stopRank); stopped {
+					return
+				}
+				err = fmt.Errorf("rank body panicked: %v", r)
+			}
+			p.exit(err)
+		}()
+		err = p.w.body(p)
+	}
+}
+
+// exit declares the rank's exit. The body has returned, so its final
+// post (if any) is fully committed and the reusable op struct is free.
+func (p *Proc) exit(err error) {
+	o := &p.postBuf
+	*o = op{kind: opExit, rank: p.rank, time: p.now, err: err}
+	p.yield(o)
 }
 
 // buildNodeOutages groups, sorts and merges the configured outages by
@@ -636,7 +678,7 @@ func buildNodeOutages(cfg Config) [][]Outage {
 
 // faultTotals sums the per-rank freeze accounting after a run. Safe to
 // read without further synchronization: a rank writes its counters
-// before posting opExit, and the scheduler observed that exit before
+// before declaring opExit, and the scheduler observed that exit before
 // the run returned.
 func faultTotals(procs []*Proc) FaultStats {
 	var fs FaultStats
@@ -684,8 +726,9 @@ func run(cfg Config, body func(*Proc) error, observe func(pending []*op, o *op))
 	cfg = cfg.withDefaults()
 	start := nowMonotonic()
 	w := newWorld(cfg, shardCount(cfg))
+	w.body = body
 	w.observe = observe
-	procs := w.spawnProcs(body)
+	w.newProcs()
 
 	stats := SchedStats{Workers: len(w.shards), Lookahead: cfg.Net.Lookahead()}
 	var err error
@@ -710,14 +753,14 @@ func run(cfg Config, body func(*Proc) error, observe func(pending []*op, o *op))
 	}
 	stats.Wall = nowMonotonic() - start
 	rep := &Report{RankSeconds: w.endTimes, Drops: cfg.Net.Drops(), Sched: stats,
-		Faults: faultTotals(procs)}
+		Faults: faultTotals(w.procs)}
 	for _, t := range w.endTimes {
 		if t > rep.Seconds {
 			rep.Seconds = t
 		}
 	}
 	if cfg.CollectTrace {
-		rep.Trace = mergeTrace(cfg, procs, w.mergedComms())
+		rep.Trace = mergeTrace(cfg, w.procs, w.mergedComms())
 	}
 	recordEngineRun(stats)
 	return rep, nil
@@ -728,6 +771,8 @@ func run(cfg Config, body func(*Proc) error, observe func(pending []*op, o *op))
 // order and every send is delivered as it commits.
 func (w *world) runOne() error {
 	s := w.shards[0]
+	defer s.stop()
+	w.start(s)
 	w.runWindow(s, math.Inf(1))
 	switch {
 	case s.err != nil:
@@ -738,30 +783,53 @@ func (w *world) runOne() error {
 	return nil
 }
 
-// runWindow collects declarations and commits the shard's ops with
-// ready < edge in the shard's (ready, rank) order — exactly the global
-// commit order restricted to the shard's ranks. It returns when the
-// next op lies at or past the edge, when no op is executable, or on a
-// delivery failure.
+// start creates the coroutines of the shard's ranks and steps each, in
+// rank order, to its first declaration. It runs on the goroutine that
+// will resume them: the shard's own, or the caller's with one shard.
+func (w *world) start(s *shard) {
+	for _, p := range s.procs {
+		p.next, p.stop = iter.Pull(p.coroutine())
+		w.step(s, p)
+	}
+}
+
+// stop ends the coroutines of the shard's ranks; a rank suspended
+// mid-program unwinds through its defers. It runs on the goroutine that
+// created them, on every return path of the run.
+func (s *shard) stop() {
+	for _, p := range s.procs {
+		if p.stop != nil {
+			p.stop()
+		}
+	}
+}
+
+// step resumes rank p with the value stored in p.res and runs it to its
+// next declaration. A send or exit is executable at once; a recv is
+// parked until a matching message exists.
+func (w *world) step(s *shard, p *Proc) {
+	o, _ := p.next()
+	w.pending[o.rank] = o
+	switch o.kind {
+	case opSend, opExit:
+		o.ready = o.time
+		s.heap.push(o)
+	case opRecv:
+		o.ready = math.Inf(1)
+		w.match(o)
+	}
+}
+
+// runWindow commits the shard's ops with ready < edge in the shard's
+// (ready, rank) order — exactly the global commit order restricted to
+// the shard's ranks. Every live rank always has a declared op: a
+// committed rank is stepped to its next declaration before the next
+// pick, so commit order is independent of goroutine scheduling. It
+// returns when the next op lies at or past the edge, when no op is
+// executable, or on a delivery failure.
 func (w *world) runWindow(s *shard, edge float64) {
 	s.out.reset()
 	for s.err == nil {
-		// Collect until every live rank of the shard has declared — the
-		// barrier that makes commit order independent of goroutine
-		// scheduling. Parked recvs count as declared.
-		for s.nPending < s.live {
-			o := <-s.opCh
-			w.pending[o.rank] = o
-			s.nPending++
-			switch o.kind {
-			case opSend, opExit:
-				o.ready = o.time
-				s.heap.push(o)
-			case opRecv:
-				o.ready = math.Inf(1)
-				w.match(o)
-			}
-		}
 		best := s.heap.peek()
 		if best == nil || best.ready >= edge {
 			return
@@ -771,17 +839,18 @@ func (w *world) runWindow(s *shard, edge float64) {
 		}
 		s.heap.pop()
 		w.pending[best.rank] = nil
-		s.nPending--
 		s.events++
 		switch best.kind {
 		case opSend:
 			w.commitSend(s, best)
 		case opRecv:
+			p := w.procs[best.rank]
 			copyCost := float64(best.matchedMsg.bytes) / w.cfg.CopyBandwidth
-			w.resume[best.rank] <- resumeMsg{
+			p.res = resumeMsg{
 				time:    best.ready + copyCost,
 				dropped: best.matchedMsg.dropped,
 			}
+			w.step(s, p)
 		case opExit:
 			s.live--
 			w.endTimes[best.rank] = best.time
@@ -813,7 +882,9 @@ func (w *world) commitSend(s *shard, o *op) {
 		s.err, s.errTime, s.errRank = err, o.time, o.rank
 		return
 	}
-	w.resume[o.rank] <- resumeMsg{time: resumeAt}
+	p := w.procs[o.rank]
+	p.res = resumeMsg{time: resumeAt}
+	w.step(s, p)
 }
 
 // land pushes a committed send through the network, eager or
@@ -871,12 +942,13 @@ func (o *op) describe() string {
 // by kind, so a stall is never misreported as a recv when something
 // else is stuck.
 func (w *world) deadlockError() error {
-	lowest := -1
+	lowest, nPending := -1, 0
 	kinds := [3]int{}
 	for r, o := range w.pending {
 		if o == nil {
 			continue
 		}
+		nPending++
 		if lowest == -1 {
 			lowest = r
 		}
@@ -886,10 +958,6 @@ func (w *world) deadlockError() error {
 	}
 	if lowest == -1 {
 		return errors.New("simmpi: deadlock with no pending operations")
-	}
-	nPending := 0
-	for _, s := range w.shards {
-		nPending += s.nPending
 	}
 	o := w.pending[lowest]
 	return fmt.Errorf("simmpi: deadlock: rank %d waiting on %s (%d more ranks blocked; pending ops: %d send, %d recv, %d exit)",

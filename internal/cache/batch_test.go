@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 
@@ -359,5 +360,25 @@ func TestStateEncodingShape(t *testing.T) {
 	after := h.AppendState(nil)
 	if !statesEq(before, after) {
 		t.Fatal("ResetStats moved the canonical state")
+	}
+}
+
+// Reset restores a used hierarchy to exactly the state NewHierarchy
+// builds — contents, clocks, counters, DRAM and TLB — for randomized
+// shapes over stateless mappers (none or contiguous).
+func TestResetMatchesFresh(t *testing.T) {
+	rng := xrand.New(9)
+	for trial := 0; trial < 30; trial++ {
+		hc := randomHierCfg(rng)
+		hc.mapper %= 2
+		used := hc.build(t)
+		for seg := 0; seg < 6; seg++ {
+			s := randomSegment(rng)
+			used.AccessRun(s.va, s.stride, s.count, s.write)
+		}
+		used.Reset()
+		if fresh := hc.build(t); !reflect.DeepEqual(used, fresh) {
+			t.Fatalf("trial %d: reset hierarchy differs from a fresh one", trial)
+		}
 	}
 }

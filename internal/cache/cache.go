@@ -204,6 +204,17 @@ func (c *Cache) Flush() {
 // ResetStats zeroes the counters without touching cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
+// reset restores the level to its freshly built state: every line
+// invalid, clean and unstamped, the clock and counters at zero.
+func (c *Cache) reset() {
+	clear(c.tags)
+	clear(c.valid)
+	clear(c.dirty)
+	clear(c.used)
+	c.clock = 0
+	c.stats = Stats{}
+}
+
 // String describes the level.
 func (c *Cache) String() string {
 	return fmt.Sprintf("%s(%s %d-way %dB lines, %d-cycle hit)",
@@ -405,6 +416,21 @@ func (h *Hierarchy) ResetStats() {
 	h.mem.stats = Stats{}
 	if h.tlb != nil {
 		h.tlb.ResetStats()
+	}
+}
+
+// Reset restores the hierarchy to the state NewHierarchy built, in
+// place: contents, replacement clocks, per-level and DRAM counters,
+// and the TLB's entries, clock and counters. The mapper behind the TLB
+// is not reset; with no mapper, or a stateless one, a reset hierarchy
+// behaves exactly like a fresh one.
+func (h *Hierarchy) Reset() {
+	for _, l := range h.levels {
+		l.reset()
+	}
+	h.mem.stats = Stats{}
+	if h.tlb != nil {
+		h.tlb.Reset()
 	}
 }
 

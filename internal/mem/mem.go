@@ -266,6 +266,14 @@ func (t *TLB) Flush() {
 	t.hits, t.misses = 0, 0
 }
 
+// Reset restores the TLB to the state NewTLB built: every slot
+// invalid, the clock and counters at zero. The mapper is left as is.
+func (t *TLB) Reset() {
+	clear(t.slots)
+	t.clock = 0
+	t.hits, t.misses = 0, 0
+}
+
 // AppendState appends a canonical encoding of the TLB's replacement
 // state to dst and returns the extended slice. Two TLBs with equal
 // encodings (and equal configuration and backing mapper state) behave

@@ -1,6 +1,7 @@
 package membench
 
 import (
+	"runtime"
 	"testing"
 
 	"montblanc/internal/cpu"
@@ -93,6 +94,63 @@ func TestMembenchMemoizedRunAllocsConstant(t *testing.T) {
 	t.Logf("allocs: %.0f per memoized 64-pass run", allocsPerRun)
 	if allocsPerRun > 16 {
 		t.Errorf("memoized run allocates %.0f, want a small constant (<= 16)", allocsPerRun)
+	}
+}
+
+// A fresh Runner's first memoized Run sizes its two canonical-state
+// snapshot buffers once, at StateWords each, so AppendState never
+// grows them: the Run allocates the warm Run's small constant plus
+// those two buffers, in count and in bytes.
+func TestMembenchFirstMemoizedRunAllocsConstant(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	p := platform.MustLookup("Snowball")
+	cfg := Config{
+		ArrayBytes:    2 * units.MiB,
+		Width:         cpu.W64,
+		WarmPasses:    2,
+		MeasurePasses: 64,
+	}
+	const runs = 3
+	// AllocsPerRun's runs plus its warm-up call, and one for the bytes.
+	runners := make([]*Runner, runs+2)
+	for i := range runners {
+		r, err := NewRunner(p, mem.NewContiguousMapper(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runners[i] = r
+	}
+	words := runners[0].Hierarchy().StateWords()
+	if count := cfg.ArrayBytes / cfg.Width.Bytes(); count < words {
+		t.Fatalf("config misses the memoization gate (count %d < %d state words)", count, words)
+	}
+	next := 0
+	first := func() {
+		r := runners[next]
+		next++
+		if _, err := r.Run(cfg); err != nil {
+			t.Error(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, first)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	first()
+	runtime.ReadMemStats(&after)
+	if t.Failed() {
+		t.FailNow()
+	}
+	bytes := after.TotalAlloc - before.TotalAlloc
+	buffers := uint64(2 * 8 * words)
+	t.Logf("first memoized run: %.0f allocs, %d bytes (snapshot buffers %d bytes)", allocs, bytes, buffers)
+	if allocs > 16+2 {
+		t.Errorf("first memoized run allocates %.0f, want <= 16 + 2 snapshot buffers", allocs)
+	}
+	if bytes > buffers+32*units.KiB {
+		t.Errorf("first memoized run allocates %d bytes, want <= %d for the snapshot buffers + 32 KiB",
+			bytes, buffers)
 	}
 }
 

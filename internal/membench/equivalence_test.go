@@ -42,8 +42,15 @@ func compareRuns(t *testing.T, batched, scalar *Runner, cfg Config, ctx string) 
 	if err != nil {
 		t.Fatalf("%s: scalar: %v", ctx, err)
 	}
+	compareResults(t, got, want, batched, scalar, ctx)
+}
+
+// compareResults asserts that two finished runs, got on runner a and
+// want on runner b, agree exactly in every figure compareRuns checks.
+func compareResults(t *testing.T, got, want Result, a, b *Runner, ctx string) {
+	t.Helper()
 	if got.Cycles != want.Cycles {
-		t.Fatalf("%s: cycles %v != scalar %v", ctx, got.Cycles, want.Cycles)
+		t.Fatalf("%s: cycles %v != %v", ctx, got.Cycles, want.Cycles)
 	}
 	if got.Accesses != want.Accesses || got.Seconds != want.Seconds || got.Bandwidth != want.Bandwidth {
 		t.Fatalf("%s: result diverges: %+v vs %+v", ctx, got, want)
@@ -51,7 +58,7 @@ func compareRuns(t *testing.T, batched, scalar *Runner, cfg Config, ctx string) 
 	if !reflect.DeepEqual(got.Counters, want.Counters) {
 		t.Fatalf("%s: counters diverge: %v vs %v", ctx, got.Counters, want.Counters)
 	}
-	bh, sh := batched.Hierarchy(), scalar.Hierarchy()
+	bh, sh := a.Hierarchy(), b.Hierarchy()
 	for i := 0; i < bh.Depth(); i++ {
 		if a, b := bh.Level(i).Stats(), sh.Level(i).Stats(); a != b {
 			t.Fatalf("%s: level %d stats diverge: %+v vs %+v", ctx, i, a, b)

@@ -22,10 +22,17 @@ func LocalityProfile(p *platform.Platform, sizes, strides []int) ([]LocalityPoin
 	if len(sizes) == 0 || len(strides) == 0 {
 		return nil, fmt.Errorf("membench: empty locality sweep")
 	}
+	// Every cell measures a cold hierarchy; one reset Runner serves
+	// them all.
+	r, err := NewRunner(p, nil)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]LocalityPoint, 0, len(sizes)*len(strides))
 	for _, size := range sizes {
 		for _, stride := range strides {
-			res, err := Run(p, nil, Config{ArrayBytes: size, StrideElems: stride})
+			r.hier.Reset()
+			res, err := r.Run(Config{ArrayBytes: size, StrideElems: stride})
 			if err != nil {
 				return nil, err
 			}

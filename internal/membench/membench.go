@@ -81,8 +81,8 @@ type Runner struct {
 
 	// Memoization scratch, reused across passes and Runs so the steady
 	// state allocates nothing: two canonical-state snapshots for
-	// fixed-point detection and three counter snapshots for delta
-	// capture and replay.
+	// fixed-point detection, sized to StateWords on the first memoized
+	// Run, and three counter snapshots for delta capture and replay.
 	statePrev, stateCur             []uint64
 	statsPre, statsPost, statsDelta cache.HierarchyStats
 }
@@ -103,10 +103,14 @@ func (r *Runner) Hierarchy() *cache.Hierarchy { return r.hier }
 
 // Run measures one configuration and returns the result. It drives the
 // batched engine: translation once per page, set machinery once per
-// line, and — once a measured pass is detected to leave the hierarchy's
-// canonical state at a fixed point — the remaining passes replayed as
-// counter deltas instead of being re-simulated. Results are exactly
-// those of RunScalar.
+// line, and — once a pass, warm or measured, is detected to leave the
+// hierarchy's canonical state at a fixed point — the remaining warm
+// passes skipped and the remaining measured passes replayed from that
+// pass's counter delta instead of being re-simulated. Above the
+// memoization gate a fresh Run typically simulates two real passes,
+// whatever WarmPasses and MeasurePasses are: one to leave the cold
+// state and one to prove the fixed point. Results are exactly those of
+// RunScalar.
 func (r *Runner) Run(cfg Config) (Result, error) { return r.run(cfg, false) }
 
 // RunScalar is the reference implementation: one Hierarchy.Access per
@@ -157,68 +161,61 @@ func (r *Runner) run(cfg Config, scalar bool) (Result, error) {
 
 	// Fixed-point detection costs two canonical snapshots per pass;
 	// only pay it when a pass dwarfs the snapshot.
-	memo := !scalar && count >= r.hier.StateWords()
-
-	// Warm passes evolve state only (counters are reset below), so once
-	// a warm pass maps the canonical state onto itself the remaining
-	// warm passes are no-ops and may be skipped.
-	if memo && cfg.WarmPasses > 1 {
+	words := r.hier.StateWords()
+	memo := !scalar && count >= words
+	if memo {
+		if cap(r.stateCur) == 0 {
+			// Sized once per Runner so AppendState never grows them.
+			r.statePrev = make([]uint64, 0, words)
+			r.stateCur = make([]uint64, 0, words)
+		}
 		r.stateCur = r.hier.AppendState(r.stateCur[:0])
-		for w := 0; w < cfg.WarmPasses; w++ {
-			pass()
-			r.statePrev, r.stateCur = r.stateCur, r.statePrev
-			r.stateCur = r.hier.AppendState(r.stateCur[:0])
-			if statesEqual(r.statePrev, r.stateCur) {
-				break
-			}
-		}
-	} else {
-		for w := 0; w < cfg.WarmPasses; w++ {
-			pass()
-		}
-		if memo {
-			r.stateCur = r.hier.AppendState(r.stateCur[:0])
-		}
 	}
-	r.hier.ResetStats()
 
+	// One loop over the warm then the measured passes. Counters are
+	// reset at the boundary, so only measured passes contribute. Under
+	// memoization every real pass but the last is snapshotted; the
+	// first one, warm or measured, that maps the canonical state onto
+	// itself is a verified fixed point, and every measured pass still
+	// to come would repeat it exactly: they are replayed from its
+	// counter delta and cycle/access contribution, in pass order.
+	passes := cfg.WarmPasses + cfg.MeasurePasses
 	var totalCycles float64
 	var totalAccesses uint64
-	var memoAgg cache.RunResult
-	var memoCycles float64
-	haveMemo := false
-	for p := 0; p < cfg.MeasurePasses; p++ {
-		if haveMemo {
-			// Every remaining pass starts from the verified fixed point
-			// and is therefore identical: advance the counters by the
-			// captured delta and replay the identical cycle/access
-			// contributions in pass order.
-			remaining := cfg.MeasurePasses - p
-			r.hier.AddStats(&r.statsDelta, uint64(remaining))
-			for i := 0; i < remaining; i++ {
-				totalCycles += memoCycles
-				totalAccesses += memoAgg.Accesses
-			}
-			break
+	for p := 0; p < passes; p++ {
+		if p == cfg.WarmPasses {
+			r.hier.ResetStats()
 		}
-		if memo && p < cfg.MeasurePasses-1 {
+		snapshot := memo && p < passes-1
+		if snapshot {
 			r.hier.ReadStats(&r.statsPre)
-			rr := pass()
-			cyc := passCycles(rr)
-			totalCycles += cyc
-			totalAccesses += rr.Accesses
-			r.hier.ReadStats(&r.statsPost)
-			r.statePrev, r.stateCur = r.stateCur, r.statePrev
-			r.stateCur = r.hier.AppendState(r.stateCur[:0])
-			if statesEqual(r.statePrev, r.stateCur) {
-				r.statsDelta.Delta(&r.statsPost, &r.statsPre)
-				memoAgg, memoCycles, haveMemo = rr, cyc, true
-			}
-			continue
 		}
 		rr := pass()
-		totalCycles += passCycles(rr)
-		totalAccesses += rr.Accesses
+		cyc := passCycles(rr)
+		if p >= cfg.WarmPasses {
+			totalCycles += cyc
+			totalAccesses += rr.Accesses
+		}
+		if !snapshot {
+			continue
+		}
+		r.statePrev, r.stateCur = r.stateCur, r.statePrev
+		r.stateCur = r.hier.AppendState(r.stateCur[:0])
+		if !statesEqual(r.statePrev, r.stateCur) {
+			continue
+		}
+		r.hier.ReadStats(&r.statsPost)
+		r.statsDelta.Delta(&r.statsPost, &r.statsPre)
+		if p < cfg.WarmPasses {
+			r.hier.ResetStats()
+		}
+		remaining := passes - max(p+1, cfg.WarmPasses)
+		r.hier.AddStats(&r.statsDelta, uint64(remaining))
+		for i := 0; i < remaining; i++ {
+			totalCycles += cyc
+			totalAccesses += rr.Accesses
+		}
+		break
 	}
 
 	res := Result{
@@ -315,10 +312,17 @@ type GridPoint struct {
 // on platform p for the given array size (the paper uses 50 KB, stride
 // 1, unroll in {1, 8}).
 func OptimizationGrid(p *platform.Platform, arrayBytes int, unrolls []int) ([]GridPoint, error) {
+	// Every cell measures a cold hierarchy; one reset Runner serves
+	// them all.
+	r, err := NewRunner(p, nil)
+	if err != nil {
+		return nil, err
+	}
 	var out []GridPoint
 	for _, w := range cpu.Widths() {
 		for _, u := range unrolls {
-			res, err := Run(p, nil, Config{
+			r.hier.Reset()
+			res, err := r.Run(Config{
 				ArrayBytes: arrayBytes,
 				Width:      w,
 				Unroll:     u,

@@ -17,7 +17,6 @@ import (
 	"montblanc/internal/apps/coremark"
 	"montblanc/internal/apps/linpack"
 	"montblanc/internal/apps/specfem"
-	"montblanc/internal/autotune"
 	"montblanc/internal/cluster"
 	"montblanc/internal/core"
 	"montblanc/internal/cpu"
@@ -269,7 +268,7 @@ func BenchmarkFig7MagicfilterKernel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := magicfilter.Apply1DUnrolled(dst, src, 1+i%12); err != nil {
+		if err := magicfilter.Apply1D(dst, src); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -794,31 +793,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportMetric(s.Ratio(0, snow, xeon), "linpack-snowball-ratio")
-}
-
-// --- Auto-tuning harness ------------------------------------------------------
-
-func BenchmarkAutotuneExhaustive(b *testing.B) {
-	p := platform.Tegra2Node()
-	space := autotune.Space{Params: []autotune.Param{
-		{Name: "unroll", Values: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
-	}}
-	obj := func(cfg autotune.Config) (float64, error) {
-		r, err := magicfilter.MeasureVariant(p, 1024, cfg["unroll"])
-		if err != nil {
-			return 0, err
-		}
-		return r.CyclesPerPoint, nil
-	}
-	var best float64
-	for i := 0; i < b.N; i++ {
-		res, err := autotune.Exhaustive(space, obj)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = float64(res.Best["unroll"])
-	}
-	b.ReportMetric(best, "best-unroll")
 }
 
 // --- Statistics used by Figure 5 ----------------------------------------------

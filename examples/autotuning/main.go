@@ -1,14 +1,14 @@
 // Autotuning: tune the BigDFT magicfilter's unroll degree on two
-// architectures with four search strategies (§V.B). The point the paper
-// makes: the optima differ per platform and the ARM sweet spot is
-// narrow, so tuning must be automated rather than guided by intuition.
+// architectures by sweeping every degree from 1 to 12 (§V.B), the same
+// exhaustive sweep Figure 7 runs. The point the paper makes: the optima
+// differ per platform and the ARM sweet spot is narrow, so tuning must
+// be automated rather than guided by intuition.
 package main
 
 import (
 	"fmt"
 	"log"
 
-	"montblanc/internal/autotune"
 	"montblanc/internal/magicfilter"
 	"montblanc/internal/platform"
 )
@@ -17,52 +17,15 @@ const points = 4096
 
 func main() {
 	for _, p := range []*platform.Platform{platform.MustLookup("XeonX5550"), platform.MustLookup("Tegra2")} {
-		fmt.Printf("=== %s ===\n", p.Name)
-		objective := func(cfg autotune.Config) (float64, error) {
-			r, err := magicfilter.MeasureVariant(p, points, cfg["unroll"])
-			if err != nil {
-				return 0, err
-			}
-			return r.CyclesPerPoint, nil
-		}
-		space := autotune.Space{Params: []autotune.Param{
-			{Name: "unroll", Values: []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}},
-		}}
-
-		exhaustive, err := autotune.Exhaustive(space, objective)
-		if err != nil {
-			log.Fatal(err)
-		}
-		hill, err := autotune.HillClimb(space, objective, 8, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		random, err := autotune.RandomSearch(space, objective, 6, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		genetic, err := autotune.Genetic(space, objective, autotune.GeneticOptions{
-			Population: 6, Generations: 4, Seed: 1,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-
-		fmt.Printf("  exhaustive : unroll=%2d  %6.1f cycles/pt (%d evals)\n",
-			exhaustive.Best["unroll"], exhaustive.BestScore, exhaustive.Evaluations)
-		fmt.Printf("  hill climb : unroll=%2d  %6.1f cycles/pt (%d evals)\n",
-			hill.Best["unroll"], hill.BestScore, hill.Evaluations)
-		fmt.Printf("  random     : unroll=%2d  %6.1f cycles/pt (%d evals)\n",
-			random.Best["unroll"], random.BestScore, random.Evaluations)
-		fmt.Printf("  genetic    : unroll=%2d  %6.1f cycles/pt (%d evals)\n",
-			genetic.Best["unroll"], genetic.BestScore, genetic.Evaluations)
-
 		sweep, err := magicfilter.SweepUnroll(p, points, 12)
 		if err != nil {
 			log.Fatal(err)
 		}
+		best := magicfilter.BestUnroll(sweep)
 		lo, hi := magicfilter.SweetSpot(sweep, 0.15)
-		fmt.Printf("  sweet spot : [%d:%d]\n\n", lo, hi)
+		fmt.Printf("=== %s ===\n", p.Name)
+		fmt.Printf("  best unroll : %2d  %6.1f cycles/pt\n", best, sweep[best-1].CyclesPerPoint)
+		fmt.Printf("  sweet spot  : [%d:%d]\n\n", lo, hi)
 	}
 	fmt.Println("Different optima per platform: porting the x86 unroll choice to the")
 	fmt.Println("ARM SoC would land outside its narrow sweet spot — tune per platform.")

@@ -17,7 +17,9 @@
 //     the kernel's memory traffic. It reproduces Figure 7's findings:
 //     convex cycle curves, cache accesses that explode once the unrolled
 //     window spills the register file, and a much narrower sweet spot on
-//     the in-order Tegra2 than on Nehalem.
+//     the in-order Tegra2 than on Nehalem. The search over that space is
+//     the exhaustive sweep itself: BestUnroll and SweetSpot read the
+//     optimum and its tolerance band off SweepUnroll's results.
 package magicfilter
 
 import (
@@ -87,52 +89,6 @@ func Apply1D(dst, src []float64) error {
 	return nil
 }
 
-// Apply1DUnrolled is Apply1D with a manually unrolled output loop, the
-// transformation the paper's auto-tuning tool generates with degrees 1
-// to 12. Results are identical to Apply1D; only the loop structure
-// differs. It exists so the functional kernel matches what the variant
-// model measures.
-func Apply1DUnrolled(dst, src []float64, unroll int) error {
-	n := len(src)
-	if len(dst) != n {
-		return fmt.Errorf("magicfilter: dst length %d != src length %d", len(dst), n)
-	}
-	if unroll < 1 {
-		return fmt.Errorf("magicfilter: unroll %d < 1", unroll)
-	}
-	w := Coefficients()
-	i := 0
-	for ; i+unroll <= n; i += unroll {
-		// One unrolled iteration produces `unroll` outputs sharing most
-		// of their input window.
-		for u := 0; u < unroll; u++ {
-			acc := 0.0
-			for j := 0; j < Taps; j++ {
-				k := i + u + j + lowOff
-				k %= n
-				if k < 0 {
-					k += n
-				}
-				acc += w[j] * src[k]
-			}
-			dst[i+u] = acc
-		}
-	}
-	for ; i < n; i++ { // remainder loop
-		acc := 0.0
-		for j := 0; j < Taps; j++ {
-			k := i + j + lowOff
-			k %= n
-			if k < 0 {
-				k += n
-			}
-			acc += w[j] * src[k]
-		}
-		dst[i] = acc
-	}
-	return nil
-}
-
 // Apply3D applies the magic filter along all three dimensions of a
 // n1 x n2 x n3 array stored x-fastest, using the transposition scheme
 // BigDFT uses: convolve along the fastest axis, then rotate the array so
@@ -176,11 +132,6 @@ func Apply3D(dst, src []float64, n1, n2, n3 int) error {
 // FlopsPerPoint is the floating-point work per output point of one 1-D
 // pass: Taps multiply-accumulate pairs.
 func FlopsPerPoint() float64 { return 2 * Taps }
-
-// Flops3D returns the total flops of a full 3-D application.
-func Flops3D(n1, n2, n3 int) float64 {
-	return 3 * float64(n1*n2*n3) * FlopsPerPoint()
-}
 
 // VariantResult is one point of the Figure 7 sweep.
 type VariantResult struct {

@@ -108,34 +108,6 @@ func TestApply1DShiftInvarianceProperty(t *testing.T) {
 	}
 }
 
-// Every unroll degree computes exactly the same result as the reference.
-func TestUnrolledVariantsMatchReference(t *testing.T) {
-	rng := xrand.New(7)
-	n := 97 // odd length exercises the remainder loop
-	src := make([]float64, n)
-	for i := range src {
-		src[i] = rng.Float64()*10 - 5
-	}
-	ref := make([]float64, n)
-	if err := Apply1D(ref, src); err != nil {
-		t.Fatal(err)
-	}
-	for u := 1; u <= 12; u++ {
-		got := make([]float64, n)
-		if err := Apply1DUnrolled(got, src, u); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref {
-			if math.Abs(got[i]-ref[i]) > 1e-12 {
-				t.Fatalf("unroll=%d: dst[%d] = %v, want %v", u, i, got[i], ref[i])
-			}
-		}
-	}
-	if err := Apply1DUnrolled(make([]float64, n), src, 0); err == nil {
-		t.Error("unroll 0 accepted")
-	}
-}
-
 func TestApply3DPreservesConstants(t *testing.T) {
 	const n1, n2, n3 = 8, 6, 10
 	src := make([]float64, n1*n2*n3)
@@ -178,13 +150,31 @@ func TestApply3DPreservesSource(t *testing.T) {
 	}
 }
 
-func TestFlops3D(t *testing.T) {
-	if f := Flops3D(10, 10, 10); f != 3*1000*32 {
-		t.Errorf("Flops3D = %v", f)
+const sweepN = 4096
+
+// Tuning the unroll degree per platform lands on different optima:
+// a narrow band on Tegra2, deep unrolling on Nehalem.
+func TestMagicfilterTuning(t *testing.T) {
+	const n = 2048
+	neh, err := SweepUnroll(platform.XeonX5550(), n, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	teg, err := SweepUnroll(platform.Tegra2Node(), n, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nBest, tBest := BestUnroll(neh), BestUnroll(teg)
+	if nBest == tBest {
+		t.Errorf("both platforms tuned to unroll=%d; paper expects different optima", nBest)
+	}
+	if tBest < 3 || tBest > 7 {
+		t.Errorf("Tegra2 optimum unroll = %d, want in the narrow [3,7] band", tBest)
+	}
+	if nBest < 8 {
+		t.Errorf("Nehalem optimum unroll = %d, want deep unrolling (>=8)", nBest)
 	}
 }
-
-const sweepN = 4096
 
 // Figure 7's headline: the sweet spot is much narrower on Tegra2
 // ([4:7]) than on Nehalem ([4:12]).

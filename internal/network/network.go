@@ -198,8 +198,7 @@ type Network struct {
 	route    func(src, dst int) []*Link
 	links    []*Link
 
-	interconnect *topo.Object
-	lookahead    float64
+	lookahead float64
 }
 
 // New creates a network over numNodes nodes. route must return the link
@@ -221,37 +220,20 @@ func New(numNodes int, links []*Link, route func(src, dst int) []*Link) *Network
 // this network's fabric and derives the conservative lookahead from it
 // (topo.Object.MinCrossLatency): the minimum one-way latency any
 // message between distinct nodes pays. The Star and Tree builders call
-// it; custom networks may either build their own tree or call
-// SetLookahead directly. An unreachable bound (fewer than two
+// it; a custom network gets a lookahead only by describing its fabric
+// as a tree here, and must then make route(src, src) safe for
+// concurrent calls (return immutable per-node paths, as the builders
+// do): the parallel scheduler delivers same-node messages from
+// multiple shards at once. An unreachable bound (fewer than two
 // machines) leaves the lookahead at zero, meaning unknown.
 func (n *Network) SetInterconnect(root *topo.Object) error {
 	if err := root.Validate(); err != nil {
 		return err
 	}
-	n.interconnect = root
 	if la := root.MinCrossLatency(); !math.IsInf(la, 1) {
 		n.lookahead = la
 	}
 	return nil
-}
-
-// Interconnect returns the fabric topology tree, or nil when the
-// network was built without one.
-func (n *Network) Interconnect() *topo.Object { return n.interconnect }
-
-// SetLookahead overrides the minimum cross-node latency bound in
-// seconds. Only needed for custom route functions without an
-// interconnect tree; a bound larger than the true minimum breaks the
-// parallel scheduler's determinism guarantee, so derive it from the
-// slowest-case route, never guess. A custom network advertising a
-// lookahead must also make route(src, src) safe for concurrent calls
-// (return immutable per-node paths, as the builders do): the parallel
-// scheduler delivers same-node messages from multiple shards at once.
-func (n *Network) SetLookahead(seconds float64) {
-	if seconds < 0 {
-		seconds = 0
-	}
-	n.lookahead = seconds
 }
 
 // Lookahead returns the minimum one-way latency between distinct
@@ -367,7 +349,6 @@ func (n *Network) Reset() {
 // GigE characteristics used by the Tibidabo builders.
 const (
 	GigEBandwidth = 125e6 // bytes/s (1 Gb/s)
-	FastBandwidth = 12.5e6
 	// GigELatency is the per-hop latency including the slow TCP stack on
 	// the Tegra2 (the Tibidabo report measures ~50-100us MPI latency).
 	GigELatency = 50e-6

@@ -31,10 +31,10 @@
 // "power" JSON section ({"idle_watts", "memory_watts", "comm_watts",
 // optional "compute_watts" defaulting to "watts"}) carries the
 // calibrated draw; internal/trace integrates a profile over per-rank
-// state intervals (EnergyByState), turning Extrae-style traces into
-// power traces, and the energy-phases experiment runs a phased
-// mini-app on every registered platform to split joules by execution
-// state. A uniform profile reproduces the constant model exactly.
+// state spans (Energy), from a trace (EnergyByState) or from the
+// simulator's trace-free energy meter (simmpi.Config.Power), and the
+// energy-phases experiment runs a phased mini-app on every registered
+// platform to split joules by execution state. A uniform profile reproduces the constant model exactly.
 //
 // The simulator core (internal/simmpi) is a deterministic discrete-
 // event engine: a min-heap commits operations in global

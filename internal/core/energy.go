@@ -88,8 +88,8 @@ type PhaseEnergy struct {
 
 // RunPhaseProbe runs the phased mini-app on a cluster of the given
 // platform's nodes (one rank per node, so each rank is charged the full
-// node profile) and integrates the platform's power profile over the
-// resulting trace.
+// node profile), metering the platform's power profile over the ranks'
+// states.
 func RunPhaseProbe(p *platform.Platform, cfg PhaseProbeConfig) (PhaseEnergy, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Nodes < 2 {
@@ -102,7 +102,8 @@ func RunPhaseProbe(p *platform.Platform, cfg PhaseProbeConfig) (PhaseEnergy, err
 		Net:             network.Star(n),
 		RanksPerNode:    1,
 		CoreFlopsPerSec: p.SustainedFlops(true, cfg.Efficiency),
-		CollectTrace:    true,
+		Power:           &p.Power,
+		TraceHint:       4 * cfg.Iters, // compute, memory, send, recv
 		Workers:         cfg.SimWorkers,
 	}
 	rep, err := simmpi.Run(sim, func(pr *simmpi.Proc) error {
@@ -127,11 +128,10 @@ func RunPhaseProbe(p *platform.Platform, cfg PhaseProbeConfig) (PhaseEnergy, err
 	if err != nil {
 		return PhaseEnergy{}, fmt.Errorf("core: phase probe on %s: %w", p.Name, err)
 	}
-	b := rep.Trace.EnergyByState(p.Power)
 	return PhaseEnergy{
 		Platform:       p,
 		Seconds:        rep.Seconds,
-		Breakdown:      b,
+		Breakdown:      *rep.Energy,
 		EnvelopeJoules: float64(n) * p.Power.Energy(rep.Seconds),
 	}, nil
 }

@@ -21,8 +21,8 @@ import (
 // ranks stay coupled. A fault schedule (resolved per cluster shape by
 // internal/fault) injects node crashes: work since the last checkpoint
 // is lost and redone after a restart read, and downtime itself is
-// frozen time — unrecorded in the trace, so phase-resolved energy
-// accounting charges it at idle watts automatically.
+// frozen time — no rank records a state for it, so phase-resolved
+// energy accounting charges it at idle watts automatically.
 type ResilienceConfig struct {
 	// Nodes is the job size, one rank per node (>= 2; default 8).
 	Nodes int
@@ -107,7 +107,7 @@ type ResilienceResult struct {
 	Seconds  float64 // time-to-solution (makespan, downtime included)
 	// Breakdown is the state-resolved energy: checkpoint and restart
 	// I/O at memory watts, lost and useful work at compute watts,
-	// downtime at idle watts (it is simply absent from the trace).
+	// downtime at idle watts (no rank records a state for it).
 	Breakdown trace.EnergyBreakdown
 	// Checkpoints is the number of checkpoints each rank wrote.
 	Checkpoints int
@@ -161,8 +161,10 @@ func RunResilienceProbe(p *platform.Platform, cfg ResilienceConfig) (ResilienceR
 		Net:             net,
 		RanksPerNode:    1,
 		CoreFlopsPerSec: rate,
-		CollectTrace:    true,
-		Workers:         cfg.SimWorkers,
+		Power:           &p.Power,
+		// Work, checkpoint, send and recv per interval; crashes add more.
+		TraceHint: 4 * nSeg,
+		Workers:   cfg.SimWorkers,
 	}
 	if cfg.Faults != nil {
 		if err := cfg.Faults.Apply(net); err != nil {
@@ -223,7 +225,7 @@ func RunResilienceProbe(p *platform.Platform, cfg ResilienceConfig) (ResilienceR
 	return ResilienceResult{
 		Platform:          p,
 		Seconds:           rep.Seconds,
-		Breakdown:         rep.Trace.EnergyByState(p.Power),
+		Breakdown:         *rep.Energy,
 		Checkpoints:       nSeg - 1,
 		Interval:          cfg.IntervalSeconds,
 		CheckpointSeconds: ckpt,

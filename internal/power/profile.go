@@ -90,7 +90,8 @@ func (p Profile) Watts(s State) float64 {
 // Energy returns the joules to run for the given seconds under the
 // paper's conservative whole-run accounting: the full Compute envelope
 // for the entire duration, whatever the phase mix. Phase-resolved
-// integration lives in trace.EnergyByState.
+// integration lives in trace.Energy, fed by a trace (EnergyByState) or
+// by the simulator's energy meter (simmpi.Config.Power).
 func (p Profile) Energy(seconds float64) float64 { return p.Compute * seconds }
 
 // EnergyIn returns the joules drawn over the given seconds spent in

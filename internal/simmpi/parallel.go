@@ -134,7 +134,7 @@ func (w *world) barrier() error {
 			return cutErr // the shard-local failure committed first
 		}
 		best.out.pop()
-		if err := w.land(*bx, &w.comms); err != nil {
+		if err := w.land(*bx, &w.log); err != nil {
 			return err
 		}
 	}
@@ -150,16 +150,16 @@ func (w *world) barrier() error {
 // stable by-Sent sort depends on.
 func (w *world) mergedComms() []trace.Comm {
 	if len(w.shards) == 1 {
-		return w.shards[0].comms
+		return w.shards[0].log.comms
 	}
 	lists := make([][]trace.Comm, 0, len(w.shards)+1)
 	total := 0
 	for _, s := range w.shards {
-		lists = append(lists, s.comms)
-		total += len(s.comms)
+		lists = append(lists, s.log.comms)
+		total += len(s.log.comms)
 	}
-	lists = append(lists, w.comms)
-	total += len(w.comms)
+	lists = append(lists, w.log.comms)
+	total += len(w.log.comms)
 	out := make([]trace.Comm, 0, total)
 	cur := make([]int, len(lists))
 	for len(out) < total {

@@ -29,6 +29,7 @@ import (
 	"strconv"
 
 	"montblanc/internal/network"
+	"montblanc/internal/power"
 	"montblanc/internal/trace"
 )
 
@@ -49,8 +50,9 @@ const MaxWorkers = 64
 // restart, and communication completions landing inside the window are
 // deferred to it (in-flight messages progress through the fabric
 // store-and-forward, but a rank cannot observe them while its node is
-// down). Down windows are left unrecorded in the trace, so
-// phase-resolved energy accounting prices them at idle watts for free.
+// down). Down windows are left unrecorded in the trace and the energy
+// log, so phase-resolved energy accounting prices them at idle watts
+// for free.
 //
 // Determinism: an outage changes only how a rank's local clock
 // advances — a pure function of (the rank's node, the rank's program)
@@ -85,12 +87,18 @@ type Config struct {
 	// CollectTrace enables interval/communication recording.
 	CollectTrace bool
 
+	// Power, when set, meters the run's energy: every rank logs its
+	// state spans, and Report.Energy integrates this per-rank profile
+	// over them — bit for bit what Trace.EnergyByState computes on a
+	// traced run, without building the trace. SIMMPI.md explains why.
+	Power *power.Profile
+
 	// TraceHint is an optional capacity hint: the expected number of
 	// trace intervals one rank records. When CollectTrace is set it
 	// presizes the per-rank interval buffers and the shared
-	// communication log, eliminating append regrowth on long runs. It
-	// never affects results, only allocation behaviour; zero (or
-	// tracing off) means no preallocation.
+	// communication log, and when Power is set the per-rank energy
+	// logs, eliminating append regrowth on long runs. It never affects
+	// results, only allocation behaviour; zero means no preallocation.
 	TraceHint int
 
 	// Workers is the number of scheduler shards. At <= 1 (the default)
@@ -159,10 +167,11 @@ func (c Config) Validate() error {
 type Report struct {
 	Seconds     float64 // makespan: latest rank finish time
 	RankSeconds []float64
-	Trace       *trace.Trace // nil unless CollectTrace
-	Drops       uint64       // network buffer overruns
-	Sched       SchedStats   // how the scheduler executed the run
-	Faults      FaultStats   // injected-outage impact (zero when failure-free)
+	Trace       *trace.Trace           // nil unless CollectTrace
+	Energy      *trace.EnergyBreakdown // nil unless Power
+	Drops       uint64                 // network buffer overruns
+	Sched       SchedStats             // how the scheduler executed the run
+	Faults      FaultStats             // injected-outage impact (zero when failure-free)
 }
 
 // FaultStats summarizes what the injected node outages did to a run.
@@ -258,7 +267,7 @@ type world struct {
 	// Windowed runs only: shard completion signals, and the log of the
 	// cross-node comms delivered at window barriers.
 	phaseDone chan struct{}
-	comms     []trace.Comm
+	log       commLog
 
 	// observe, when set, sees each op just before it commits, alongside
 	// the pending table it was chosen from. Only tests set it.
@@ -274,6 +283,11 @@ type world struct {
 	// for the whole run instead of one fmt.Sprintf per message.
 	sendLabels []string
 	recvLabels []string
+
+	// collSeq holds each rank's per-name collective instance counters
+	// (traced runs only). Only the rank touches its map. It lives here
+	// rather than on Proc, whose size every run pays per rank.
+	collSeq []map[string]int
 }
 
 // shard is a contiguous block of whole nodes with its own ranks'
@@ -283,8 +297,8 @@ type world struct {
 type shard struct {
 	procs   []*Proc // the shard's ranks, in rank order
 	heap    opHeap
-	live    int          // ranks not yet exited
-	comms   []trace.Comm // comms this shard delivered, in its commit order
+	live    int     // ranks not yet exited
+	log     commLog // comms this shard delivered, in its commit order
 	events  uint64
 	locals  uint64 // intra-node sends
 	crosses uint64 // cross-node sends
@@ -301,6 +315,15 @@ type shard struct {
 	errRank int
 }
 
+// commLog is what a shard, or the barrier, keeps of the sends it
+// delivers: their records when tracing, and always the latest arrival,
+// which bounds the energy horizon like the comm records bound the
+// trace's Duration.
+type commLog struct {
+	comms   []trace.Comm
+	arrival float64
+}
+
 func (w *world) node(rank int) int { return rank / w.cfg.RanksPerNode }
 
 // Proc is the handle a rank program uses: its identity, virtual clock
@@ -310,9 +333,9 @@ type Proc struct {
 	now          float64
 	w            *world
 	tr           *trace.Trace
-	collSeq      map[string]int // traced runs only: per-name collective instance counter
-	droppedRecvs int            // running count of retransmitted messages received
-	postBuf      op             // the rank's reusable operation struct
+	meter        *meter // metered runs only: the rank's energy log
+	droppedRecvs int    // running count of retransmitted messages received
+	postBuf      op     // the rank's reusable operation struct
 
 	// The rank's coroutine: the body yields each declared op, next
 	// resumes it up to its next declaration, and stop unwinds it. res
@@ -419,12 +442,28 @@ func (p *Proc) skipDown() {
 }
 
 func (p *Proc) record(kind trace.Kind, name string, start, end float64) {
-	if p.tr == nil {
-		return
+	if p.meter != nil {
+		p.meter.add(kind, start, end)
 	}
-	p.tr.AddInterval(trace.Interval{
-		Rank: p.rank, Kind: kind, Name: name, Start: start, End: end,
-	})
+	if p.tr != nil {
+		p.tr.AddInterval(trace.Interval{
+			Rank: p.rank, Kind: kind, Name: name, Start: start, End: end,
+		})
+	}
+}
+
+// meter is one rank's energy log: its state spans in recording order,
+// and the latest span end.
+type meter struct {
+	spans []trace.Span
+	end   float64
+}
+
+func (m *meter) add(kind trace.Kind, start, end float64) {
+	m.spans = append(m.spans, trace.Span{Kind: kind, Start: start, End: end})
+	if end > m.end {
+		m.end = end
+	}
 }
 
 // stopRank is the panic value that unwinds a rank body whose coroutine
@@ -489,8 +528,11 @@ func (p *Proc) Recv(src, tag int) error {
 // and Recv because their frames sit on a suspended rank's stack, and
 // the runtime sizes new goroutine stacks from the average it scans.
 func (p *Proc) complete(kind trace.Kind, labels []string, peer int, start float64) {
-	if p.tr != nil {
+	switch {
+	case p.tr != nil:
 		p.record(kind, labels[peer], start, p.now)
+	case p.meter != nil:
+		p.meter.add(kind, start, p.now)
 	}
 	p.skipDown()
 }
@@ -501,26 +543,40 @@ func (p *Proc) complete(kind trace.Kind, labels []string, peer int, start float6
 // rank's receives inside the collective were retransmitted — the
 // Figure 4 congestion evidence.
 func (p *Proc) Collective(name string, body func() error) error {
-	if p.tr == nil {
+	if p.tr == nil && p.meter == nil {
 		return body()
 	}
-	return p.tracedCollective(name, body)
+	return p.recordedCollective(name, body)
 }
 
-// tracedCollective is Collective with tracing on, kept out of line so
-// an untraced Collective adds no frame under the collective's body.
-func (p *Proc) tracedCollective(name string, body func() error) error {
-	seq := p.collSeq[name]
-	p.collSeq[name] = seq + 1
-	start := p.now
-	dropsBefore := p.droppedRecvs
+// recordedCollective is Collective with tracing or metering on, kept
+// out of line so an unrecorded Collective adds no frame under the
+// collective's body. Its own frame sits there on a suspended rank's
+// stack, so the recording itself happens in endCollective.
+func (p *Proc) recordedCollective(name string, body func() error) error {
+	seq := -1
+	if p.tr != nil {
+		seq = p.w.collSeq[p.rank][name]
+		p.w.collSeq[p.rank][name] = seq + 1
+	}
+	start, dropsBefore := p.now, p.droppedRecvs
 	err := body()
-	p.tr.AddInterval(trace.Interval{
-		Rank: p.rank, Kind: trace.StateCollective,
-		Name: name + "#" + strconv.Itoa(seq), Start: start, End: p.now,
-		Dropped: p.droppedRecvs - dropsBefore,
-	})
+	p.endCollective(name, seq, start, dropsBefore)
 	return err
+}
+
+// endCollective records a finished collective instance.
+func (p *Proc) endCollective(name string, seq int, start float64, dropsBefore int) {
+	if p.meter != nil {
+		p.meter.add(trace.StateCollective, start, p.now)
+	}
+	if p.tr != nil {
+		p.tr.AddInterval(trace.Interval{
+			Rank: p.rank, Kind: trace.StateCollective,
+			Name: name + "#" + strconv.Itoa(seq), Start: start, End: p.now,
+			Dropped: p.droppedRecvs - dropsBefore,
+		})
+	}
 }
 
 // Run executes body on every rank of a fresh world and returns the
@@ -567,6 +623,7 @@ func newWorld(cfg Config, workers int) *world {
 	if cfg.CollectTrace {
 		w.sendLabels = make([]string, cfg.Ranks)
 		w.recvLabels = make([]string, cfg.Ranks)
+		w.collSeq = make([]map[string]int, cfg.Ranks)
 		for i := range w.sendLabels {
 			n := strconv.Itoa(i)
 			w.sendLabels[i] = "send->" + n
@@ -578,9 +635,9 @@ func newWorld(cfg Config, workers int) *world {
 			// in the barrier's.
 			hint := make([]trace.Comm, 0, cfg.Ranks*cfg.TraceHint/2)
 			if workers == 1 {
-				w.shards[0].comms = hint
+				w.shards[0].log.comms = hint
 			} else {
-				w.comms = hint
+				w.log.comms = hint
 			}
 		}
 	}
@@ -593,8 +650,24 @@ func newWorld(cfg Config, workers int) *world {
 func (w *world) newProcs() {
 	cfg := w.cfg
 	all := make([]Proc, cfg.Ranks)
+	var meters []meter
+	var spans []trace.Span
+	if cfg.Power != nil {
+		meters = make([]meter, cfg.Ranks)
+		if cfg.TraceHint > 0 {
+			spans = make([]trace.Span, cfg.Ranks*cfg.TraceHint)
+		}
+	}
 	for r := range all {
 		p := &all[r]
+		if meters != nil {
+			p.meter = &meters[r]
+			if spans != nil {
+				// Each rank's log is a capped window of one backing array:
+				// a rank outgrowing its hint reallocates only its own log.
+				p.meter.spans = spans[r*cfg.TraceHint : r*cfg.TraceHint : (r+1)*cfg.TraceHint]
+			}
+		}
 		p.rank, p.size, p.w = r, cfg.Ranks, w
 		if w.outages != nil {
 			p.down = w.outages[w.node(r)]
@@ -605,7 +678,7 @@ func (w *world) newProcs() {
 			if cfg.TraceHint > 0 {
 				p.tr.Reserve(cfg.TraceHint, 0)
 			}
-			p.collSeq = map[string]int{}
+			w.collSeq[r] = map[string]int{}
 		}
 		w.procs[r] = p
 	}
@@ -706,6 +779,29 @@ func mergeTrace(cfg Config, procs []*Proc, comms []trace.Comm) *trace.Trace {
 	return tr
 }
 
+// energy integrates prof over the ranks' energy logs. The horizon is
+// the latest span end or comm arrival — exactly the traced run's
+// Trace.Duration — and each log is already in the order the trace's
+// stable sort would give the rank's intervals, up to collectives, which
+// the integration paints over regardless of order (SIMMPI.md).
+func (w *world) energy(prof power.Profile) *trace.EnergyBreakdown {
+	horizon := w.log.arrival
+	for _, s := range w.shards {
+		if s.log.arrival > horizon {
+			horizon = s.log.arrival
+		}
+	}
+	perRank := make([][]trace.Span, len(w.procs))
+	for r, p := range w.procs {
+		perRank[r] = p.meter.spans
+		if p.meter.end > horizon {
+			horizon = p.meter.end
+		}
+	}
+	b := trace.Energy(perRank, horizon, prof)
+	return &b
+}
+
 // shardCount returns how many scheduler shards a run will use: Workers
 // bounded by the node count, collapsing to one shard when parallelism
 // cannot help (one worker, one node) or cannot be proven exact (no
@@ -761,6 +857,9 @@ func run(cfg Config, body func(*Proc) error, observe func(pending []*op, o *op))
 	}
 	if cfg.CollectTrace {
 		rep.Trace = mergeTrace(cfg, w.procs, w.mergedComms())
+	}
+	if cfg.Power != nil {
+		rep.Energy = w.energy(*cfg.Power)
 	}
 	recordEngineRun(stats)
 	return rep, nil
@@ -878,7 +977,7 @@ func (w *world) commitSend(s *shard, o *op) {
 	}
 	if cross && len(w.shards) > 1 {
 		s.out.push(x)
-	} else if err := w.land(x, &s.comms); err != nil {
+	} else if err := w.land(x, &s.log); err != nil {
 		s.err, s.errTime, s.errRank = err, o.time, o.rank
 		return
 	}
@@ -888,17 +987,20 @@ func (w *world) commitSend(s *shard, o *op) {
 }
 
 // land pushes a committed send through the network, eager or
-// rendezvous by size, into the destination's mailbox; logs the comm
-// when tracing; and matches a recv parked on it.
-func (w *world) land(x xsend, log *[]trace.Comm) error {
+// rendezvous by size, into the destination's mailbox; logs the comm;
+// and matches a recv parked on it.
+func (w *world) land(x xsend, log *commLog) error {
 	opts := network.SendOptions{FlowControlled: x.bytes > EagerThreshold}
 	res, err := w.cfg.Net.SendOpts(x.time, w.node(x.rank), w.node(x.dst), x.bytes, opts)
 	if err != nil {
 		return err
 	}
 	w.mail[x.dst].push(x.rank, x.tag, msg{arrival: res.Arrival, dropped: res.Dropped, bytes: x.bytes})
+	if res.Arrival > log.arrival {
+		log.arrival = res.Arrival
+	}
 	if w.cfg.CollectTrace {
-		*log = append(*log, trace.Comm{
+		log.comms = append(log.comms, trace.Comm{
 			Src: x.rank, Dst: x.dst, Tag: x.tag, Bytes: x.bytes,
 			Sent: x.time, Arrived: res.Arrival, Dropped: res.Dropped,
 		})

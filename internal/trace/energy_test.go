@@ -120,6 +120,12 @@ func TestEnergyByStateEmptyTrace(t *testing.T) {
 	if b.Share(power.StateCompute) != 0 {
 		t.Error("Share on empty breakdown should be 0")
 	}
+	// A negative rank count used to panic in make; it is an empty
+	// breakdown, whatever intervals it holds.
+	neg := &Trace{Ranks: -1, Intervals: []Interval{{Rank: 0, Kind: StateCompute, Start: 0, End: 1}}}
+	if b := neg.EnergyByState(phased); b.Total != 0 || len(b.ByRank) != 0 {
+		t.Errorf("Ranks < 0 breakdown = %+v, want empty", b)
+	}
 }
 
 func TestKindPowerState(t *testing.T) {
@@ -167,6 +173,11 @@ func TestGanttClampsMalformedIntervals(t *testing.T) {
 	}
 	if !strings.Contains(g, "|>") {
 		t.Errorf("clamped interval missing from first bucket:\n%s", g)
+	}
+	// A negative rank count used to panic in make; it has no rows.
+	tr.Ranks = -1
+	if g := tr.Gantt(10); g != "" {
+		t.Errorf("Gantt with Ranks < 0 = %q, want empty", g)
 	}
 }
 

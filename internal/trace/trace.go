@@ -8,8 +8,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -152,14 +154,13 @@ func (t *Trace) Merge(other *Trace) {
 // Sort orders intervals by (start, rank) and comms by send time, making
 // traces deterministic regardless of collection order.
 func (t *Trace) Sort() {
-	sort.SliceStable(t.Intervals, func(i, j int) bool {
-		a, b := t.Intervals[i], t.Intervals[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortStableFunc(t.Intervals, func(a, b Interval) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return a.Rank < b.Rank
+		return cmp.Compare(a.Rank, b.Rank)
 	})
-	sort.SliceStable(t.Comms, func(i, j int) bool { return t.Comms[i].Sent < t.Comms[j].Sent })
+	slices.SortStableFunc(t.Comms, func(a, b Comm) int { return cmp.Compare(a.Sent, b.Sent) })
 }
 
 // Instance aggregates one collective instance across ranks.
@@ -380,7 +381,7 @@ func (t *Trace) Gantt(width int) string {
 		width = 80
 	}
 	total := t.Duration()
-	if total <= 0 {
+	if total <= 0 || t.Ranks < 0 {
 		return ""
 	}
 	rows := make([][]rune, t.Ranks)

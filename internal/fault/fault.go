@@ -21,11 +21,12 @@ package fault
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"montblanc/internal/network"
@@ -211,6 +212,8 @@ type Resolved struct {
 	Nodes   int
 	Horizon float64 // the generation horizon actually used (0 if none)
 	Outages []simmpi.Outage
+
+	byNode [][]simmpi.Outage // Outages grouped by node (see NodeOutages)
 }
 
 // Resolve binds the spec to a cluster of the given node count.
@@ -268,17 +271,47 @@ func (s *Spec) Resolve(nodes int, horizonHint float64) (*Resolved, error) {
 			}
 		}
 	}
-	sort.Slice(r.Outages, func(i, j int) bool {
-		a, b := r.Outages[i], r.Outages[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	slices.SortFunc(r.Outages, func(a, b simmpi.Outage) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		if a.Node != b.Node {
-			return a.Node < b.Node
+		if c := cmp.Compare(a.Node, b.Node); c != 0 {
+			return c
 		}
-		return a.End < b.End
+		return cmp.Compare(a.End, b.End)
 	})
+	r.byNode = groupByNode(r.Outages, nodes)
 	return r, nil
+}
+
+// groupByNode splits the start-ordered outages into one start-ordered
+// list per node, all sharing one backing array. Nodes without outages
+// get nil.
+func groupByNode(outages []simmpi.Outage, nodes int) [][]simmpi.Outage {
+	if len(outages) == 0 {
+		return nil
+	}
+	// next[n] is where node n's next outage goes: a counting sort,
+	// stable, so each node's list keeps the start order.
+	next := make([]int, nodes+1)
+	for _, o := range outages {
+		next[o.Node+1]++
+	}
+	for n := 1; n <= nodes; n++ {
+		next[n] += next[n-1]
+	}
+	flat := make([]simmpi.Outage, len(outages))
+	byNode := make([][]simmpi.Outage, nodes)
+	for n := range byNode {
+		if lo, hi := next[n], next[n+1]; hi > lo {
+			byNode[n] = flat[lo:hi:hi]
+		}
+	}
+	for _, o := range outages {
+		flat[next[o.Node]] = o
+		next[o.Node]++
+	}
+	return byNode
 }
 
 // Apply schedules the spec's link faults on the fabric. Callers apply
@@ -298,15 +331,14 @@ func (r *Resolved) Apply(net *network.Network) error {
 	return nil
 }
 
-// NodeOutages returns one node's outage windows in start order.
+// NodeOutages returns one node's outage windows in start order, or nil
+// when the node has none. Resolve groups the schedule once, so the
+// slice is shared by every caller: callers must not modify it.
 func (r *Resolved) NodeOutages(node int) []simmpi.Outage {
-	var out []simmpi.Outage
-	for _, o := range r.Outages {
-		if o.Node == node {
-			out = append(out, o)
-		}
+	if node < 0 || node >= len(r.byNode) {
+		return nil
 	}
-	return out
+	return r.byNode[node]
 }
 
 // CrashesBefore counts outages beginning before t — the failures a run

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"montblanc/internal/network"
+	"montblanc/internal/simmpi"
 )
 
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
@@ -296,5 +297,37 @@ func TestPolicyValidate(t *testing.T) {
 func TestLoadSpecFileMissing(t *testing.T) {
 	if _, err := LoadSpecFile("/nonexistent/fault.json"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// NodeOutages serves the per-node groups Resolve builds once; they
+// must equal a scan of the start-ordered schedule for every node, and
+// nodes outside the cluster have none.
+func TestNodeOutagesMatchesScan(t *testing.T) {
+	s := &Spec{Seed: 7, MTBFSeconds: 300, HorizonSeconds: 5000,
+		Events: []Event{{Node: 3, Time: 10}, {Node: 3, Time: 10, Downtime: 5}, {Node: 0, Time: 4000}}}
+	r, err := s.Resolve(6, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for node := -1; node <= r.Nodes; node++ {
+		var want []simmpi.Outage
+		for _, o := range r.Outages {
+			if o.Node == node {
+				want = append(want, o)
+			}
+		}
+		got := r.NodeOutages(node)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("NodeOutages(%d) = %+v, scan gives %+v", node, got, want)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("NodeOutages(%d) has spare capacity %d: an append would overwrite the next node", node, cap(got)-len(got))
+		}
+		total += len(got)
+	}
+	if total != len(r.Outages) {
+		t.Errorf("groups hold %d outages, schedule has %d", total, len(r.Outages))
 	}
 }

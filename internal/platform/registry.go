@@ -16,8 +16,28 @@ import (
 // platforms up), hence the RWMutex.
 var (
 	regMu sync.RWMutex
-	specs = map[string]Spec{}
+	specs = map[string]registered{}
 )
+
+// registered is one machine as the registry (or a Resolver) holds it:
+// a private deep copy of the spec plus its json.Marshal bytes, encoded
+// once so that every cache key splices them instead of re-marshalling
+// the machine per request.
+type registered struct {
+	spec Spec
+	json []byte
+}
+
+// newRegistered deep-copies s and encodes it. A spec that cannot be
+// encoded cannot appear in a cache key, so it is rejected up front.
+func newRegistered(s Spec) (registered, error) {
+	c := s.clone()
+	b, err := json.Marshal(c)
+	if err != nil {
+		return registered{}, fmt.Errorf("platform: spec %s: encoding: %w", s.Name, err)
+	}
+	return registered{spec: c, json: b}, nil
+}
 
 // Register adds a validated spec to the registry. Registering a name
 // twice is an error: platform identity is global, and silently
@@ -31,10 +51,16 @@ func Register(s Spec) error {
 // whole batch is checked (validation, duplicates against the registry
 // and within the batch) and inserted under one lock, so a bad or
 // racing batch never half-applies. The registry stores deep copies,
-// insulating it from later caller mutations.
+// insulating it from later caller mutations, each with its JSON
+// encoding (see Resolver.SpecJSON).
 func registerBatch(batch []Spec) error {
-	for _, s := range batch {
+	entries := make([]registered, len(batch))
+	for i, s := range batch {
 		if err := s.Validate(); err != nil {
+			return err
+		}
+		var err error
+		if entries[i], err = newRegistered(s); err != nil {
 			return err
 		}
 	}
@@ -47,8 +73,8 @@ func registerBatch(batch []Spec) error {
 		}
 		seen[s.Name] = true
 	}
-	for _, s := range batch {
-		specs[s.Name] = s.clone()
+	for _, e := range entries {
+		specs[e.spec.Name] = e
 	}
 	return nil
 }
@@ -85,13 +111,21 @@ func MustLookup(name string) *Platform {
 // copy: editing it (the copy-a-builtin-and-tweak pattern) never writes
 // through into the registry.
 func LookupSpec(name string) (Spec, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	s, ok := specs[name]
+	e, ok := lookupRegistered(name)
 	if !ok {
 		return Spec{}, false
 	}
-	return s.clone(), true
+	return e.spec.clone(), true
+}
+
+// lookupRegistered returns the registry entry for name. The entry is
+// shared and immutable: callers copy the spec before handing it out
+// and never modify the JSON bytes.
+func lookupRegistered(name string) (registered, bool) {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	e, ok := specs[name]
+	return e, ok
 }
 
 // Names returns every registered platform name in sorted order.

@@ -17,17 +17,21 @@ import (
 // experiment the global registry forbids. The zero-value Resolver (or
 // one built from no specs) is a pure view of the registry.
 type Resolver struct {
-	extra map[string]Spec
+	extra map[string]registered
 	order []string // extra names in insertion order
 }
 
 // NewResolver builds a resolver over the given extra specs. Every spec
-// is validated and deep-copied (later caller mutations never show
-// through); duplicate names within the batch are rejected just like
-// registerBatch rejects them, since the second spec would silently
-// shadow the first.
+// is validated, deep-copied (later caller mutations never show
+// through) and encoded once, like a registered one; duplicate names
+// within the batch are rejected just like registerBatch rejects them,
+// since the second spec would silently shadow the first.
 func NewResolver(extra []Spec) (*Resolver, error) {
-	r := &Resolver{extra: make(map[string]Spec, len(extra))}
+	r := &Resolver{}
+	if len(extra) == 0 {
+		return r, nil
+	}
+	r.extra = make(map[string]registered, len(extra))
 	for _, s := range extra {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -35,22 +39,45 @@ func NewResolver(extra []Spec) (*Resolver, error) {
 		if _, dup := r.extra[s.Name]; dup {
 			return nil, fmt.Errorf("platform: duplicate inline spec %q", s.Name)
 		}
-		r.extra[s.Name] = s.clone()
+		e, err := newRegistered(s)
+		if err != nil {
+			return nil, err
+		}
+		r.extra[s.Name] = e
 		r.order = append(r.order, s.Name)
 	}
 	return r, nil
+}
+
+// lookup returns the entry for name, an extra spec shadowing a
+// registered one.
+func (r *Resolver) lookup(name string) (registered, bool) {
+	if r != nil {
+		if e, ok := r.extra[name]; ok {
+			return e, true
+		}
+	}
+	return lookupRegistered(name)
 }
 
 // LookupSpec returns the named spec — the resolver's extra spec when
 // one shadows the name, the registered spec otherwise. The result is a
 // deep copy either way.
 func (r *Resolver) LookupSpec(name string) (Spec, bool) {
-	if r != nil {
-		if s, ok := r.extra[name]; ok {
-			return s.clone(), true
-		}
+	e, ok := r.lookup(name)
+	if !ok {
+		return Spec{}, false
 	}
-	return LookupSpec(name)
+	return e.spec.clone(), true
+}
+
+// SpecJSON returns the json.Marshal encoding of the spec LookupSpec
+// would return for name, encoded once when the spec was registered or
+// handed to NewResolver. The bytes are shared: callers must not
+// modify them.
+func (r *Resolver) SpecJSON(name string) ([]byte, bool) {
+	e, ok := r.lookup(name)
+	return e.json, ok
 }
 
 // Lookup builds a fresh Platform for the named spec, extra specs

@@ -3,15 +3,14 @@ package service
 import (
 	"container/list"
 	"sync"
-
-	"montblanc/internal/runner"
 )
 
-// resultCache is a bounded LRU of stored runner.Results keyed by
-// content hash (experiments.CacheKey). Results are immutable once
-// stored — the determinism suite guarantees a key's output never
-// changes — so the cache hands out stored values directly; there is
-// nothing a reader could corrupt. Eviction is strict LRU on Get/Add
+// resultCache is a bounded LRU of stored result elements (see
+// encodeElement) keyed by content hash (experiments.CacheKey).
+// Elements are immutable once stored — the determinism suite
+// guarantees a key's output never changes, and nothing writes to a
+// stored slice — so the cache hands out stored bytes directly; there
+// is nothing a reader could corrupt. Eviction is strict LRU on Get/Add
 // recency.
 type resultCache struct {
 	mu    sync.Mutex
@@ -23,8 +22,8 @@ type resultCache struct {
 }
 
 type cacheEntry struct {
-	key string
-	res runner.Result
+	key  string
+	elem []byte
 }
 
 func newResultCache(max int) *resultCache {
@@ -38,30 +37,30 @@ func newResultCache(max int) *resultCache {
 	}
 }
 
-// get returns the stored result for key, marking it most recently
-// used.
-func (c *resultCache) get(key string) (runner.Result, bool) {
+// get returns the stored element for key, marking it most recently
+// used. Callers must not modify the returned bytes.
+func (c *resultCache) get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return runner.Result{}, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
+	return el.Value.(*cacheEntry).elem, true
 }
 
-// add stores a result under key, evicting the least recently used
+// add stores an element under key, evicting the least recently used
 // entry when full. Re-adding an existing key refreshes its recency but
-// keeps the first stored result: a content address has one value.
-func (c *resultCache) add(key string, res runner.Result) {
+// keeps the first stored element: a content address has one value.
+func (c *resultCache) add(key string, elem []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, elem: elem})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

@@ -5,19 +5,18 @@ import (
 	"sync"
 	"testing"
 
-	"montblanc/internal/runner"
 	"montblanc/internal/xrand"
 )
 
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	c.add("a", runner.Result{ID: "a"})
-	c.add("b", runner.Result{ID: "b"})
+	c.add("a", []byte("a"))
+	c.add("b", []byte("b"))
 	// Touch "a" so "b" is the eviction candidate.
 	if _, ok := c.get("a"); !ok {
 		t.Fatal("a missing before eviction")
 	}
-	c.add("c", runner.Result{ID: "c"})
+	c.add("c", []byte("c"))
 	if _, ok := c.get("b"); ok {
 		t.Error("b survived eviction despite being least recently used")
 	}
@@ -37,11 +36,11 @@ func TestResultCacheLRUEviction(t *testing.T) {
 // stored result, not overwrite it.
 func TestResultCacheFirstValueWins(t *testing.T) {
 	c := newResultCache(4)
-	c.add("k", runner.Result{ID: "k", Output: "first"})
-	c.add("k", runner.Result{ID: "k", Output: "second"})
+	c.add("k", []byte("first"))
+	c.add("k", []byte("second"))
 	res, ok := c.get("k")
-	if !ok || res.Output != "first" {
-		t.Errorf("got %q, want the first stored value", res.Output)
+	if !ok || string(res) != "first" {
+		t.Errorf("got %q, want the first stored value", res)
 	}
 	if entries, _ := c.stats(); entries != 1 {
 		t.Errorf("duplicate add grew the cache to %d entries", entries)
@@ -51,7 +50,7 @@ func TestResultCacheFirstValueWins(t *testing.T) {
 func TestResultCacheBoundHolds(t *testing.T) {
 	c := newResultCache(8)
 	for i := 0; i < 100; i++ {
-		c.add(fmt.Sprintf("k%d", i), runner.Result{})
+		c.add(fmt.Sprintf("k%d", i), nil)
 	}
 	entries, evictions := c.stats()
 	if entries != 8 {
@@ -68,21 +67,21 @@ func TestResultCacheBoundHolds(t *testing.T) {
 // add as insert-then-evict, which at capacity 1 evicts the key itself.
 func TestResultCacheFirstValueWinsAtCapacityOne(t *testing.T) {
 	c := newResultCache(1)
-	c.add("k", runner.Result{ID: "k", Output: "first"})
-	c.add("k", runner.Result{ID: "k", Output: "second"})
+	c.add("k", []byte("first"))
+	c.add("k", []byte("second"))
 	res, ok := c.get("k")
 	if !ok {
 		t.Fatal("re-add at capacity 1 evicted the key itself")
 	}
-	if res.Output != "first" {
-		t.Errorf("got %q, want the first stored value", res.Output)
+	if string(res) != "first" {
+		t.Errorf("got %q, want the first stored value", res)
 	}
 	entries, evictions := c.stats()
 	if entries != 1 || evictions != 0 {
 		t.Errorf("stats = (%d entries, %d evictions), want (1, 0)", entries, evictions)
 	}
 	// A genuinely new key does evict at capacity 1.
-	c.add("j", runner.Result{ID: "j"})
+	c.add("j", []byte("j"))
 	if _, ok := c.get("k"); ok {
 		t.Error("k survived insertion of j at capacity 1")
 	}
@@ -144,7 +143,7 @@ func TestResultCacheMatchesModel(t *testing.T) {
 		key := fmt.Sprintf("k%d", r.Intn(32))
 		if r.Intn(2) == 0 {
 			val := fmt.Sprintf("v%d", op)
-			c.add(key, runner.Result{ID: key, Output: val})
+			c.add(key, []byte(val))
 			m.add(key, val)
 			continue
 		}
@@ -153,8 +152,8 @@ func TestResultCacheMatchesModel(t *testing.T) {
 		if ok != wantOK {
 			t.Fatalf("op %d: get(%s) = %v, model says %v", op, key, ok, wantOK)
 		}
-		if ok && res.Output != wantVal {
-			t.Fatalf("op %d: get(%s) = %q, model says %q", op, key, res.Output, wantVal)
+		if ok && string(res) != wantVal {
+			t.Fatalf("op %d: get(%s) = %q, model says %q", op, key, res, wantVal)
 		}
 	}
 	entries, evictions := c.stats()
@@ -188,7 +187,7 @@ func TestResultCacheConcurrentStorm(t *testing.T) {
 				key := fmt.Sprintf("k%d", r.Intn(keySpace))
 				switch r.Intn(3) {
 				case 0:
-					c.add(key, runner.Result{ID: key})
+					c.add(key, []byte(key))
 				case 1:
 					c.get(key)
 				default:
@@ -211,7 +210,7 @@ func TestResultCacheConcurrentStorm(t *testing.T) {
 	// tracks real evictions, not a drifted shadow.
 	residentBefore, before := c.stats()
 	for i := 0; i < keySpace; i++ {
-		c.add(fmt.Sprintf("fresh%d", i), runner.Result{})
+		c.add(fmt.Sprintf("fresh%d", i), nil)
 	}
 	entries, after := c.stats()
 	if entries != capacity {

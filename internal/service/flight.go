@@ -3,20 +3,20 @@ package service
 import (
 	"sync"
 	"sync/atomic"
-
-	"montblanc/internal/runner"
 )
 
 // flightCall is one in-flight simulation shared by every request that
-// asked for its key while it ran. res is written once, before done is
-// closed; waiters read it only after <-done. started flips once the
-// leader has acquired a simulation slot: a waiter that times out while
-// started is still false was queued behind a saturated semaphore, not
-// behind a slow simulation — the distinction between 503 and 504.
+// asked for its key while it ran. elem (the result's response element)
+// or err is written once, before done is closed; waiters read them
+// only after <-done. started flips once the leader has acquired a
+// simulation slot: a waiter that times out while started is still
+// false was queued behind a saturated semaphore, not behind a slow
+// simulation — the distinction between 503 and 504.
 type flightCall struct {
 	done    chan struct{}
 	started atomic.Bool
-	res     runner.Result
+	elem    []byte
+	err     error
 }
 
 // flightGroup deduplicates concurrent work by content hash: however
@@ -49,13 +49,14 @@ func (g *flightGroup) claim(key string) (*flightCall, bool) {
 	return c, true
 }
 
-// complete publishes the leader's result and retires the key. The
-// ordering contract with the cache: the caller stores the result in
-// the cache BEFORE complete, so a request arriving after the key is
-// forgotten finds it in the cache — there is no window where a key is
-// neither cached nor in flight yet was already computed.
-func (g *flightGroup) complete(key string, c *flightCall, res runner.Result) {
-	c.res = res
+// complete publishes the leader's element (or the error that kept it
+// from producing one) and retires the key. The ordering contract with
+// the cache: the caller stores the element in the cache BEFORE
+// complete, so a request arriving after the key is forgotten finds it
+// in the cache — there is no window where a key is neither cached nor
+// in flight yet was already computed.
+func (g *flightGroup) complete(key string, c *flightCall, elem []byte, err error) {
+	c.elem, c.err = elem, err
 	g.mu.Lock()
 	delete(g.m, key)
 	g.mu.Unlock()

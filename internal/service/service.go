@@ -6,10 +6,10 @@
 // experiment is a pure function of its Options plus the resolved
 // platform specs, so one execution's Result can be replayed verbatim
 // for every later request with the same content hash
-// (experiments.CacheKey). The server keeps a bounded LRU of stored
-// Results in front of the existing internal/runner pool, with
-// singleflight-style deduplication so N concurrent identical requests
-// cost one simulation.
+// (experiments.CacheKey). The server keeps a bounded LRU of results,
+// each stored as its encoded response element, in front of the
+// existing internal/runner pool, with singleflight-style deduplication
+// so N concurrent identical requests cost one simulation.
 //
 // Endpoints, schemas and the cache-key recipe are documented in
 // SERVICE.md at the repository root.
@@ -336,7 +336,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// resolving through cache → flight group → semaphore. The pool
 	// tops out at the simulation concurrency limit; the cross-request
 	// bound is the semaphore.
-	out := make([]runner.Result, len(es))
+	out := make([][]byte, len(es))
 	hit := make([]bool, len(es))
 	tasks := make([]runner.Task, len(es))
 	for i := range es {
@@ -346,11 +346,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			Title:  es[i].Title,
 			Weight: es[i].Cost,
 			Run: func(io.Writer) error {
-				res, fromCache, err := s.resolve(ctx, es[i], opts, keys[i])
+				elem, fromCache, err := s.resolve(ctx, es[i], opts, keys[i])
 				if err != nil {
 					return err
 				}
-				out[i], hit[i] = res, fromCache
+				out[i], hit[i] = elem, fromCache
 				return nil
 			},
 		}
@@ -383,18 +383,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The body is the established wire form — the same bytes
-	// `montblanc -json` emits — so a cache hit is byte-identical to
-	// the cold run. Cache observability rides in a header, never the
-	// body.
+	// `montblanc -json` emits — assembled from the stored elements, so
+	// a cache hit is byte-identical to the cold run. Cache
+	// observability rides in a header, never the body.
 	hits := 0
 	for _, h := range hit {
 		if h {
 			hits++
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Montblanc-Cache", fmt.Sprintf("hits=%d misses=%d", hits, len(es)-hits))
-	_ = report.EncodeJSON(w, out)
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Montblanc-Cache", "hits="+strconv.Itoa(hits)+" misses="+strconv.Itoa(len(es)-hits))
+	_ = writeElements(w, out) // response-writer errors have no recovery path
 }
 
 // resolve produces the result for one (experiment, options) pair:
@@ -403,18 +404,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // is bound to the request context — the computation itself is
 // detached, so a timed-out requester never cancels work other waiters
 // (or the cache) still want.
-func (s *Server) resolve(ctx context.Context, e experiments.Experiment, o experiments.Options, key string) (res runner.Result, fromCache bool, err error) {
-	if res, ok := s.cache.get(key); ok {
+func (s *Server) resolve(ctx context.Context, e experiments.Experiment, o experiments.Options, key string) (elem []byte, fromCache bool, err error) {
+	if elem, ok := s.cache.get(key); ok {
 		s.met.cacheHits.Add(1)
-		return res, true, nil
+		return elem, true, nil
 	}
 	// Second tier: the durable store. A disk hit is still a cache hit
 	// (the simulation is not re-run — the point of persistence); it is
 	// promoted into the LRU so subsequent lookups stay in memory.
-	if res, ok := s.diskGet(key); ok {
+	if elem, ok := s.diskGet(key); ok {
 		s.met.cacheHits.Add(1)
-		s.cache.add(key, res)
-		return res, true, nil
+		s.cache.add(key, elem)
+		return elem, true, nil
 	}
 	s.met.cacheMisses.Add(1)
 	c, leader := s.flight.claim(key)
@@ -422,15 +423,16 @@ func (s *Server) resolve(ctx context.Context, e experiments.Experiment, o experi
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.flight.complete(key, c, s.execute(e, o, key, c))
+			elem, err := s.execute(e, o, key, c)
+			s.flight.complete(key, c, elem, err)
 		}()
 	}
 	select {
 	case <-c.done:
-		if c.res.Err != nil && errors.Is(c.res.Err, errShuttingDown) {
-			return runner.Result{}, false, errShuttingDown
+		if c.err != nil {
+			return nil, false, c.err
 		}
-		return c.res, false, nil
+		return c.elem, false, nil
 	case <-ctx.Done():
 		// A deadline that expired while the leader was still queued for
 		// a simulation slot is saturation, not slowness: the semaphore
@@ -438,23 +440,23 @@ func (s *Server) resolve(ctx context.Context, e experiments.Experiment, o experi
 		// queue position — the work still lands in the cache.
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) && !c.started.Load() {
 			s.met.rejected.Add(1)
-			return runner.Result{}, false, errSaturated
+			return nil, false, errSaturated
 		}
-		return runner.Result{}, false, ctx.Err()
+		return nil, false, ctx.Err()
 	}
 }
 
-// execute runs one simulation under the concurrency limit and stores
-// the result. It is the only place experiment code runs in the
-// service.
-func (s *Server) execute(e experiments.Experiment, o experiments.Options, key string, c *flightCall) runner.Result {
+// execute runs one simulation under the concurrency limit, encodes
+// its result once into the response element, and stores that. It is
+// the only place experiment code runs in the service.
+func (s *Server) execute(e experiments.Experiment, o experiments.Options, key string, c *flightCall) ([]byte, error) {
 	// Double-check the cache: this leader may have claimed the key in
 	// the window after a previous leader stored the result but before
 	// its flight retired — rerunning would be wasted work (never a
 	// wrong answer; the one-simulation guarantee is the product).
-	if res, ok := s.cache.get(key); ok {
+	if elem, ok := s.cache.get(key); ok {
 		c.started.Store(true) // replayed, never queued: hits are not saturation
-		return res
+		return elem, nil
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -462,7 +464,7 @@ func (s *Server) execute(e experiments.Experiment, o experiments.Options, key st
 	case <-s.baseCtx.Done():
 		// Not cached: the refusal is transient, the value under this
 		// key is not.
-		return runner.Result{ID: e.ID, Title: e.Title, Err: errShuttingDown}
+		return nil, errShuttingDown
 	}
 	defer func() { <-s.sem }()
 	var buf bytes.Buffer
@@ -476,9 +478,13 @@ func (s *Server) execute(e experiments.Experiment, o experiments.Options, key st
 		Err:      err,
 	}
 	s.met.recordRun(res)
-	s.cache.add(key, res)
-	s.diskPut(key, res)
-	return res
+	elem, err := encodeElement(res)
+	if err != nil {
+		return nil, fmt.Errorf("encoding result: %w", err)
+	}
+	s.cache.add(key, elem)
+	s.diskPut(key, elem)
+	return elem, nil
 }
 
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {

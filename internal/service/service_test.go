@@ -70,7 +70,7 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, v interface{}) {
 
 // mustNew builds a Server or fails the test: every config in this file
 // is valid by construction.
-func mustNew(t *testing.T, cfg Config) *Server {
+func mustNew(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {

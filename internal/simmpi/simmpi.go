@@ -21,11 +21,12 @@
 package simmpi
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"iter"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"montblanc/internal/network"
@@ -727,11 +728,11 @@ func buildNodeOutages(cfg Config) [][]Outage {
 		if len(list) < 2 {
 			continue
 		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].Start != list[j].Start {
-				return list[i].Start < list[j].Start
+		slices.SortFunc(list, func(a, b Outage) int {
+			if c := cmp.Compare(a.Start, b.Start); c != 0 {
+				return c
 			}
-			return list[i].End < list[j].End
+			return cmp.Compare(a.End, b.End)
 		})
 		merged := list[:1]
 		for _, o := range list[1:] {
